@@ -10,12 +10,35 @@
 #include <unistd.h>
 
 #include "util/failpoint.hpp"
-#include "util/number.hpp"
 
 namespace smn::io {
 namespace {
 
-using util::render_double;
+// The journal's number format: a metric double travels through the text
+// form and re-serializes to the exact bytes the original run would have
+// written, so a resumed sweep's merged JSONL output stays byte-identical.
+// Shortest round-trip via std::to_chars out, full-consumption strtod back
+// in. (exp::format_double is intentionally separate: JSON cannot
+// represent nan/inf, so the writer maps them to null.)
+
+/// Shortest decimal rendering that parses back to the exact same bits.
+std::string render_double(double value) {
+    char buf[32];
+    const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, value);
+    if (ec != std::errc{}) return "0";
+    return std::string(buf, ptr);
+}
+
+/// Parses a double, demanding the whole token is consumed. Returns false
+/// on empty input, trailing garbage, or no conversion ("nan"/"inf" parse,
+/// matching what render_double can emit).
+bool parse_double(std::string_view text, double& out) {
+    if (text.empty()) return false;
+    const std::string owned{text};  // strtod needs a terminator
+    char* end = nullptr;
+    out = std::strtod(owned.c_str(), &end);
+    return end == owned.c_str() + owned.size();
+}
 
 [[noreturn]] void fail(const std::string& path, const std::string& reason) {
     throw JournalError("journal '" + path + "': " + reason);
@@ -155,10 +178,8 @@ SweepJournal::SweepJournal(std::string path, std::uint64_t fingerprint, bool res
                     fail(path_, where() + ": malformed metric field");
                 }
                 const std::string name{kv.substr(0, eq)};
-                const std::string text{kv.substr(eq + 1)};
-                char* end = nullptr;
-                const double value = std::strtod(text.c_str(), &end);
-                if (end != text.c_str() + text.size() || text.empty()) {
+                double value = 0.0;
+                if (!parse_double(kv.substr(eq + 1), value)) {
                     fail(path_, where() + ": bad metric value for '" + name + "'");
                 }
                 if (name == "wall") {

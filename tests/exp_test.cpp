@@ -235,6 +235,35 @@ exp::Scenario synthetic_scenario() {
     };
 }
 
+/// The JSONL bytes a sweep run emits — what byte-identity tests compare.
+std::string run_to_jsonl(const exp::Scenario& scenario, const exp::SweepSpec& sweep,
+                         const exp::RunOptions& options) {
+    std::ostringstream os;
+    exp::JsonlWriter writer{os};
+    for (const auto& result : exp::run_sweep(scenario, sweep, options)) writer.write(result);
+    return os.str();
+}
+
+/// Wraps the synthetic body so the listed unit seeds throw on every call
+/// while `fail` is set, and counts every body execution in `executed`.
+exp::Scenario instrumented_scenario(std::shared_ptr<std::atomic<int>> executed,
+                                    std::shared_ptr<std::atomic<bool>> fail,
+                                    std::vector<std::uint64_t> doomed_seeds) {
+    auto scenario = synthetic_scenario();
+    const auto base_body = scenario.run_rep;
+    scenario.run_rep = [executed, fail, doomed_seeds, base_body](
+                           const exp::ScenarioParams& p, std::uint64_t seed) {
+        executed->fetch_add(1);
+        if (fail->load()) {
+            for (const auto doomed : doomed_seeds) {
+                if (seed == doomed) throw std::domain_error("doomed unit");
+            }
+        }
+        return base_body(p, seed);
+    };
+    return scenario;
+}
+
 // ---------------------------------------------------------------------------
 
 TEST(ResolveCount, PlainAndSymbolic) {
@@ -453,17 +482,13 @@ TEST(RunSweep, PipelinedRecordsMatchPointwiseRuns) {
     options.reps = 5;
     options.threads = 4;
     const auto sweep = exp::SweepSpec::parse("a=1,2,3;b=4,5");
-    std::ostringstream pipelined;
-    exp::JsonlWriter pipelined_writer{pipelined};
-    for (const auto& result : exp::run_sweep(scenario, sweep, options)) {
-        pipelined_writer.write(result);
-    }
+    const std::string pipelined = run_to_jsonl(scenario, sweep, options);
     std::ostringstream pointwise;
     exp::JsonlWriter pointwise_writer{pointwise};
     for (const auto& point : sweep.points()) {
         pointwise_writer.write(exp::run_point(scenario, point, options));
     }
-    EXPECT_EQ(pipelined.str(), pointwise.str());
+    EXPECT_EQ(pipelined, pointwise.str());
 }
 
 TEST(RunSweep, SkewedWorkloadIsThreadInvariant) {
@@ -490,13 +515,8 @@ TEST(RunSweep, SkewedWorkloadIsThreadInvariant) {
         exp::RunOptions options;
         options.reps = 8;
         options.threads = threads;
-        std::ostringstream os;
-        exp::JsonlWriter writer{os};
-        for (const auto& result :
-             exp::run_sweep(scenario, exp::SweepSpec::parse("a=1,2;b=3,4"), options)) {
-            writer.write(result);
-        }
-        outputs.push_back(os.str());
+        outputs.push_back(
+            run_to_jsonl(scenario, exp::SweepSpec::parse("a=1,2;b=3,4"), options));
     }
     EXPECT_EQ(outputs[0], outputs[1]);
     EXPECT_EQ(outputs[0], outputs[2]);
@@ -529,13 +549,8 @@ TEST(JsonlWriter, RecordsMatchSchema) {
     const auto scenario = synthetic_scenario();
     exp::RunOptions options;
     options.reps = 4;
-    std::ostringstream os;
-    exp::JsonlWriter writer{os};
-    for (const auto& result :
-         exp::run_sweep(scenario, exp::SweepSpec::parse("a=1,2;b=3"), options)) {
-        writer.write(result);
-    }
-    std::istringstream lines{os.str()};
+    std::istringstream lines{
+        run_to_jsonl(scenario, exp::SweepSpec::parse("a=1,2;b=3"), options)};
     std::string line;
     int records = 0;
     while (std::getline(lines, line)) {
@@ -747,11 +762,7 @@ TEST(RunSweep, RetriesRecoverTransientFaultsByteIdentically) {
     options.threads = 4;
     const auto sweep = exp::SweepSpec::parse("a=1,2;b=3,4");
 
-    std::ostringstream clean;
-    exp::JsonlWriter clean_writer{clean};
-    for (const auto& result : exp::run_sweep(scenario, sweep, options)) {
-        clean_writer.write(result);
-    }
+    const std::string clean = run_to_jsonl(scenario, sweep, options);
 
     auto flaky = synthetic_scenario();
     const std::uint64_t transient = rng::replication_seed(
@@ -775,18 +786,13 @@ TEST(RunSweep, RetriesRecoverTransientFaultsByteIdentically) {
         EXPECT_TRUE(result.failures.empty());
         retried_writer.write(result);
     }
-    EXPECT_EQ(retried.str(), clean.str());
+    EXPECT_EQ(retried.str(), clean);
 }
 
 TEST(RunSweep, JournalReplayIsByteIdenticalAndSkipsCompletedUnits) {
-    auto scenario = synthetic_scenario();
     auto executed = std::make_shared<std::atomic<int>>(0);
-    const auto base_body = scenario.run_rep;
-    scenario.run_rep = [executed, base_body](const exp::ScenarioParams& p,
-                                             std::uint64_t seed) {
-        executed->fetch_add(1);
-        return base_body(p, seed);
-    };
+    const auto scenario =
+        instrumented_scenario(executed, std::make_shared<std::atomic<bool>>(false), {});
     exp::RunOptions options;
     options.reps = 3;
     options.threads = 4;
@@ -795,14 +801,11 @@ TEST(RunSweep, JournalReplayIsByteIdenticalAndSkipsCompletedUnits) {
                                           {{"synthetic", "a=1,2;b=3,4"}}, "test");
 
     ScratchFile journal_file{"journal"};
-    std::ostringstream first;
+    std::string first;
     {
         io::SweepJournal journal{journal_file.path(), fp, /*resume=*/false};
         options.journal = &journal;
-        exp::JsonlWriter writer{first};
-        for (const auto& result : exp::run_sweep(scenario, sweep, options)) {
-            writer.write(result);
-        }
+        first = run_to_jsonl(scenario, sweep, options);
         journal.sync();
     }
     EXPECT_EQ(executed->load(), 12);
@@ -810,18 +813,13 @@ TEST(RunSweep, JournalReplayIsByteIdenticalAndSkipsCompletedUnits) {
     // Full replay: every unit comes from the journal, the body never runs,
     // and the records are the exact bytes of the original run.
     executed->store(0);
-    std::ostringstream replayed;
     {
         io::SweepJournal journal{journal_file.path(), fp, /*resume=*/true};
         EXPECT_EQ(journal.replayed(), 12U);
         options.journal = &journal;
-        exp::JsonlWriter writer{replayed};
-        for (const auto& result : exp::run_sweep(scenario, sweep, options)) {
-            writer.write(result);
-        }
+        EXPECT_EQ(run_to_jsonl(scenario, sweep, options), first);
     }
     EXPECT_EQ(executed->load(), 0);
-    EXPECT_EQ(replayed.str(), first.str());
 
     // Partial replay: a journal holding only the header and the first four
     // unit lines (as after a crash) re-runs exactly the missing eight.
@@ -836,18 +834,13 @@ TEST(RunSweep, JournalReplayIsByteIdenticalAndSkipsCompletedUnits) {
         for (std::size_t i = 0; i < 5; ++i) out << lines[i] << '\n';
     }
     executed->store(0);
-    std::ostringstream resumed;
     {
         io::SweepJournal journal{partial_file.path(), fp, /*resume=*/true};
         EXPECT_EQ(journal.replayed(), 4U);
         options.journal = &journal;
-        exp::JsonlWriter writer{resumed};
-        for (const auto& result : exp::run_sweep(scenario, sweep, options)) {
-            writer.write(result);
-        }
+        EXPECT_EQ(run_to_jsonl(scenario, sweep, options), first);
     }
     EXPECT_EQ(executed->load(), 8);
-    EXPECT_EQ(resumed.str(), first.str());
 }
 
 TEST(RunSweep, StopRequestRaisesInterrupted) {
@@ -859,6 +852,171 @@ TEST(RunSweep, StopRequestRaisesInterrupted) {
     EXPECT_THROW(
         (void)exp::run_sweep(scenario, exp::SweepSpec::parse("a=1,2"), options),
         exp::Interrupted);
+}
+
+// The sweep's single execution path — the pool plus the journal — must
+// cover the recovery cases on its own: a stop mid-pass, units that fail
+// every retry, and a resume at a different thread count all converge on
+// the bytes of one uninterrupted run.
+
+TEST(RunSweep, InterruptedSweepResumesByteIdentically) {
+    const auto sweep = exp::SweepSpec::parse("a=1,2;b=3,4");  // 4 points × 3 reps
+    exp::RunOptions options;
+    options.reps = 3;
+    options.threads = 1;
+    const std::string clean = run_to_jsonl(synthetic_scenario(), sweep, options);
+
+    auto executed = std::make_shared<std::atomic<int>>(0);
+    const auto scenario =
+        instrumented_scenario(executed, std::make_shared<std::atomic<bool>>(false), {});
+    const auto fp = io::sweep_fingerprint(options.seed, options.reps,
+                                          {{"synthetic", "a=1,2;b=3,4"}}, "test");
+    ScratchFile journal_file{"interrupt"};
+    {
+        // A stop request after the fifth unit (as from SIGINT): the
+        // in-flight unit finishes and is journaled, the rest never start.
+        std::atomic<bool> stop{false};
+        io::SweepJournal journal{journal_file.path(), fp, /*resume=*/false};
+        auto interrupted = options;
+        interrupted.journal = &journal;
+        interrupted.stop = &stop;
+        interrupted.on_progress = [&stop](std::size_t done, std::size_t) {
+            if (done == 5) stop.store(true);
+        };
+        EXPECT_THROW((void)exp::run_sweep(scenario, sweep, interrupted), exp::Interrupted);
+    }
+    EXPECT_EQ(executed->load(), 5);
+
+    executed->store(0);
+    io::SweepJournal journal{journal_file.path(), fp, /*resume=*/true};
+    EXPECT_EQ(journal.replayed(), 5U);
+    auto resumed = options;
+    resumed.journal = &journal;
+    resumed.threads = 4;
+    EXPECT_EQ(run_to_jsonl(scenario, sweep, resumed), clean);
+    EXPECT_EQ(executed->load(), 7);
+}
+
+TEST(RunSweep, FailedUnitsAreNotJournaledAndRerunOnResume) {
+    const auto sweep = exp::SweepSpec::parse("a=1,2");  // 2 points × 4 reps
+    exp::RunOptions options;
+    options.reps = 4;
+    options.threads = 4;
+    const std::string clean = run_to_jsonl(synthetic_scenario(), sweep, options);
+
+    auto executed = std::make_shared<std::atomic<int>>(0);
+    auto fail = std::make_shared<std::atomic<bool>>(true);
+    const std::uint64_t doomed =
+        rng::replication_seed(exp::point_seed(options.seed, "synthetic", {{"a", "2"}}), 1);
+    const auto scenario = instrumented_scenario(executed, fail, {doomed});
+    const auto fp =
+        io::sweep_fingerprint(options.seed, options.reps, {{"synthetic", "a=1,2"}}, "test");
+    ScratchFile journal_file{"failed"};
+    {
+        io::SweepJournal journal{journal_file.path(), fp, /*resume=*/false};
+        auto tolerant = options;
+        tolerant.journal = &journal;
+        tolerant.retries = 1;
+        tolerant.tolerate_failures = true;
+        const auto results = exp::run_sweep(scenario, sweep, tolerant);
+        ASSERT_EQ(results.size(), 2U);
+        EXPECT_TRUE(results[0].failures.empty());
+        ASSERT_EQ(results[1].failures.size(), 1U);
+        EXPECT_EQ(results[1].failures[0].rep, 1);
+        EXPECT_EQ(journal.find("synthetic", 5), nullptr);  // unit 5 = point 1, rep 1
+    }
+    EXPECT_EQ(executed->load(), 9);  // 7 healthy units + 2 attempts of the doomed one
+
+    // The fault is gone on resume: only the unjournaled unit runs.
+    fail->store(false);
+    executed->store(0);
+    io::SweepJournal journal{journal_file.path(), fp, /*resume=*/true};
+    EXPECT_EQ(journal.replayed(), 7U);
+    auto resumed = options;
+    resumed.journal = &journal;
+    EXPECT_EQ(run_to_jsonl(scenario, sweep, resumed), clean);
+    EXPECT_EQ(executed->load(), 1);
+}
+
+TEST(RunSweep, FailFastRethrowsTheLowestFailingUnitWithItsType) {
+    // Two points fail; without tolerate_failures the pass rethrows the
+    // failure of the lowest unit index, whatever the thread count.
+    exp::RunOptions options;
+    options.reps = 3;
+    auto scenario = synthetic_scenario();
+    const auto base_body = scenario.run_rep;
+    scenario.run_rep = [base_body](const exp::ScenarioParams& p, std::uint64_t seed) {
+        if (p.get_int("a") == 2) throw std::domain_error("point a=2");
+        if (p.get_int("a") == 3) throw std::out_of_range("point a=3");
+        return base_body(p, seed);
+    };
+    for (const int threads : {1, 4}) {
+        options.threads = threads;
+        try {
+            (void)exp::run_sweep(scenario, exp::SweepSpec::parse("a=1,2,3"), options);
+            FAIL() << "failing units did not surface";
+        } catch (const std::domain_error& err) {
+            EXPECT_STREQ(err.what(), "point a=2") << threads;
+        }
+    }
+}
+
+TEST(RunSweep, FailuresAreAttributedToTheirPointAndRep) {
+    // Unit u is rep u % reps of point u / reps; each failure must land on
+    // the point it came from, with its in-point rep index.
+    exp::RunOptions options;
+    options.reps = 4;
+    options.threads = 4;
+    options.tolerate_failures = true;
+    const auto sweep = exp::SweepSpec::parse("a=1,2,3");
+    std::vector<std::uint64_t> doomed;
+    for (const auto& [a, rep] : std::vector<std::pair<const char*, std::uint64_t>>{
+             {"1", 3}, {"3", 0}, {"3", 2}}) {
+        doomed.push_back(rng::replication_seed(
+            exp::point_seed(options.seed, "synthetic", {{"a", a}}), rep));
+    }
+    const auto scenario = instrumented_scenario(std::make_shared<std::atomic<int>>(0),
+                                                std::make_shared<std::atomic<bool>>(true),
+                                                doomed);
+    const auto results = exp::run_sweep(scenario, sweep, options);
+    ASSERT_EQ(results.size(), 3U);
+    ASSERT_EQ(results[0].failures.size(), 1U);
+    EXPECT_EQ(results[0].failures[0].rep, 3);
+    EXPECT_TRUE(results[1].failures.empty());
+    ASSERT_EQ(results[2].failures.size(), 2U);
+    EXPECT_EQ(results[2].failures[0].rep, 0);
+    EXPECT_EQ(results[2].failures[1].rep, 2);
+    EXPECT_EQ(results[0].metric("value").count(), 3);
+    EXPECT_EQ(results[1].metric("value").count(), 4);
+    EXPECT_EQ(results[2].metric("value").count(), 2);
+}
+
+TEST(RunSweep, ReplayedUnitsCountTowardProgress) {
+    // A resumed pass reports replayed units as done, so progress reaches
+    // the total exactly once even when nothing is recomputed.
+    const auto sweep = exp::SweepSpec::parse("a=1,2");
+    exp::RunOptions options;
+    options.reps = 3;
+    options.threads = 4;
+    const auto fp =
+        io::sweep_fingerprint(options.seed, options.reps, {{"synthetic", "a=1,2"}}, "test");
+    ScratchFile journal_file{"progress"};
+    {
+        io::SweepJournal journal{journal_file.path(), fp, /*resume=*/false};
+        options.journal = &journal;
+        (void)exp::run_sweep(synthetic_scenario(), sweep, options);
+    }
+    io::SweepJournal journal{journal_file.path(), fp, /*resume=*/true};
+    options.journal = &journal;
+    std::mutex mutex;
+    std::vector<std::size_t> seen;
+    options.on_progress = [&](std::size_t done, std::size_t total) {
+        EXPECT_EQ(total, 6U);
+        const std::lock_guard<std::mutex> lock{mutex};
+        seen.push_back(done);
+    };
+    (void)exp::run_sweep(synthetic_scenario(), sweep, options);
+    EXPECT_EQ(seen, (std::vector<std::size_t>{1, 2, 3, 4, 5, 6}));
 }
 
 TEST(JsonlWriter, FailureFieldsAppearOnlyWhenUnitsFailed) {
@@ -958,13 +1116,8 @@ TEST(BuiltinScenarios, GridBroadcastIsThreadInvariant) {
         exp::RunOptions options;
         options.reps = 5;
         options.threads = threads;
-        std::ostringstream os;
-        exp::JsonlWriter writer{os};
-        for (const auto& result : exp::run_sweep(
-                 scenario, exp::SweepSpec::parse("side=12;k=4,8"), options)) {
-            writer.write(result);
-        }
-        outputs.push_back(os.str());
+        outputs.push_back(
+            run_to_jsonl(scenario, exp::SweepSpec::parse("side=12;k=4,8"), options));
     }
     EXPECT_EQ(outputs[0], outputs[1]);
     EXPECT_EQ(outputs[0], outputs[2]);

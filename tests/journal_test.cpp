@@ -10,14 +10,18 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "io/journal.hpp"
+#include "rng/rng.hpp"
 #include "util/failpoint.hpp"
 
 namespace smn::io {
@@ -225,6 +229,282 @@ TEST(SweepJournal, UnrepresentableNamesRejectedAtRecordTime) {
     unit.metrics.clear();
     EXPECT_THROW(journal.record("bad scenario", 2, unit), JournalError);
 }
+
+TEST(SweepJournal, SeededByteMutationsEitherRejectOrResumeStably) {
+    // The resume reader is the only crash-recovery path, so arbitrary
+    // damage to a journal must never be UB: each mutated file either
+    // throws JournalError or resumes, and a resume is stable (reopening
+    // the file it left behind replays the same units). Fixed seeds keep
+    // the corpus identical on every run; the ASan+UBSan job runs it too.
+    TempFile file{"mutate"};
+    const auto fp = sweep_fingerprint(9, 3, kScenarios, "sha");
+    constexpr std::size_t kUnits = 6;
+    {
+        SweepJournal journal{file.path(), fp, false};
+        for (std::size_t u = 0; u < kUnits; ++u) {
+            JournalUnit unit;
+            unit.metrics = {{"broadcast_time", 100.0 + static_cast<double>(u)},
+                            {"ratio", 1.0 / (3.0 + static_cast<double>(u))},
+                            {"steps", 1e6 * static_cast<double>(u)}};
+            unit.wall_seconds = 0.001 * static_cast<double>(u + 1);
+            journal.record(u % 2 == 0 ? "grid_broadcast" : "gossip", static_cast<int>(u),
+                           unit);
+        }
+    }
+    const std::string valid = slurp(file.path());
+    ASSERT_FALSE(valid.empty());
+
+    // Mutation kinds: 0 flips one byte, 1-4 insert one of kInserted, 5
+    // truncates. Each (seed, kind) pair picks its own offset.
+    constexpr char kInserted[] = {' ', '=', '\n', '\0'};
+    constexpr int kFlip = 0;
+    constexpr int kTruncate = 5;
+    std::size_t accepted = 0;
+    std::size_t rejected = 0;
+    for (std::uint64_t seed = 1; seed <= 96; ++seed) {
+        for (int mutation = kFlip; mutation <= kTruncate; ++mutation) {
+            rng::Rng rng{seed * 16 + static_cast<std::uint64_t>(mutation)};
+            std::string bytes = valid;
+            const auto at = static_cast<std::size_t>(rng.below(bytes.size()));
+            if (mutation == kFlip) {
+                bytes[at] = static_cast<char>(static_cast<unsigned char>(bytes[at]) ^
+                                              (1 + rng.below(255)));
+            } else if (mutation == kTruncate) {
+                bytes.resize(at);
+            } else {
+                bytes.insert(at, 1, kInserted[mutation - 1]);
+            }
+            std::ofstream{file.path(), std::ios::binary | std::ios::trunc} << bytes;
+            SCOPED_TRACE("seed " + std::to_string(seed) + ", mutation " +
+                         std::to_string(mutation) + ", offset " + std::to_string(at));
+
+            std::size_t replayed = 0;
+            try {
+                SweepJournal resumed{file.path(), fp, true};
+                replayed = resumed.replayed();
+            } catch (const JournalError&) {
+                ++rejected;
+                continue;
+            }
+            ++accepted;
+            EXPECT_LE(replayed, kUnits);  // damage never invents units
+            SweepJournal again{file.path(), fp, true};
+            EXPECT_EQ(again.replayed(), replayed);
+        }
+    }
+    // The corpus exercises both outcomes (truncations mostly resume with
+    // a torn tail dropped; mid-file damage mostly rejects).
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(rejected, 0u);
+}
+
+TEST(SweepJournal, NonFiniteAndSignedZeroMetricsRoundTrip) {
+    // The journal, unlike JSON, can carry nan/inf: a scenario metric that
+    // degenerates must replay as itself, not as a parse error or 0.
+    TempFile file{"nonfinite"};
+    JournalUnit unit;
+    unit.metrics = {{"inf", std::numeric_limits<double>::infinity()},
+                    {"nan", std::numeric_limits<double>::quiet_NaN()},
+                    {"neg_inf", -std::numeric_limits<double>::infinity()},
+                    {"neg_zero", -0.0}};
+    {
+        SweepJournal journal{file.path(), 3, false};
+        journal.record("gossip", 0, unit);
+    }
+    SweepJournal resumed{file.path(), 3, true};
+    const auto* found = resumed.find("gossip", 0);
+    ASSERT_NE(found, nullptr);
+    EXPECT_TRUE(std::isinf(found->metrics.at("inf")) && found->metrics.at("inf") > 0);
+    EXPECT_TRUE(std::isnan(found->metrics.at("nan")));
+    EXPECT_TRUE(std::isinf(found->metrics.at("neg_inf")) && found->metrics.at("neg_inf") < 0);
+    EXPECT_EQ(found->metrics.at("neg_zero"), 0.0);
+    EXPECT_TRUE(std::signbit(found->metrics.at("neg_zero")));
+}
+
+TEST(SweepJournal, RecordLineFormatIsStable) {
+    // Pins the documented byte format (journal.hpp): a journal written by
+    // one build must stay readable by the next.
+    TempFile file{"format"};
+    JournalUnit unit;
+    unit.metrics = {{"broadcast_time", 0.1}, {"steps", 1e21}};
+    unit.wall_seconds = 0.25;
+    {
+        SweepJournal journal{file.path(), 0xff, false};
+        journal.record("gossip", 2, unit);
+    }
+    EXPECT_EQ(slurp(file.path()),
+              "smn-sweep-journal v1 fingerprint=00000000000000ff\n"
+              "unit gossip 2 wall=0.25 broadcast_time=0.1 steps=1e+21\n");
+}
+
+TEST(SweepJournal, HeaderOnlyJournalResumesWithNothingReplayed) {
+    TempFile file{"header_only"};
+    { SweepJournal journal{file.path(), 11, false}; }
+    SweepJournal resumed{file.path(), 11, true};
+    EXPECT_EQ(resumed.replayed(), 0u);
+    EXPECT_EQ(resumed.find("gossip", 0), nullptr);
+}
+
+TEST(SweepJournal, FreshOpenDiscardsAnEarlierJournal) {
+    // Without --resume the journal starts over: stale units from an
+    // earlier run at the same path must never be replayed.
+    TempFile file{"fresh"};
+    JournalUnit unit;
+    {
+        SweepJournal journal{file.path(), 12, false};
+        journal.record("gossip", 0, unit);
+    }
+    { SweepJournal journal{file.path(), 12, false}; }
+    SweepJournal resumed{file.path(), 12, true};
+    EXPECT_EQ(resumed.replayed(), 0u);
+}
+
+TEST(SweepJournal, ResumeKeepsPriorBytesAndAppendsAfterThem) {
+    TempFile file{"append"};
+    JournalUnit unit;
+    unit.metrics["m"] = 2.5;
+    {
+        SweepJournal journal{file.path(), 13, false};
+        journal.record("gossip", 0, unit);
+    }
+    const std::string before = slurp(file.path());
+    {
+        SweepJournal resumed{file.path(), 13, true};
+        resumed.record("gossip", 1, unit);
+    }
+    const std::string after = slurp(file.path());
+    ASSERT_GT(after.size(), before.size());
+    EXPECT_EQ(after.substr(0, before.size()), before);
+    EXPECT_EQ(after.substr(before.size()), "unit gossip 1 wall=0 m=2.5\n");
+    SweepJournal again{file.path(), 13, true};
+    EXPECT_EQ(again.replayed(), 2u);
+}
+
+// --------------------------------------------- malformed content table
+//
+// One case per rejection branch of the resume reader. A damaged header
+// is always fatal; a damaged unit line is fatal when a complete line
+// follows it (mid-file corruption) and is dropped as a torn tail when it
+// is the unterminated final fragment.
+
+struct MalformedCase {
+    const char* name;
+    std::string text;    ///< header content, or one unit line without '\n'
+    const char* reason;  ///< substring the JournalError must carry
+};
+
+void PrintTo(const MalformedCase& c, std::ostream* os) { *os << c.name; }
+
+std::string case_name(const ::testing::TestParamInfo<MalformedCase>& info) {
+    return info.param.name;
+}
+
+constexpr std::uint64_t kTableFp = 0x0123456789abcdefULL;
+const std::string kTableHeader = "smn-sweep-journal v1 fingerprint=0123456789abcdef\n";
+const std::string kTableUnit = "unit gossip 0 wall=0.5 m=1\n";
+
+class MalformedHeader : public ::testing::TestWithParam<MalformedCase> {};
+
+TEST_P(MalformedHeader, IsRejected) {
+    TempFile file{"bad_header"};
+    std::ofstream{file.path(), std::ios::binary | std::ios::trunc}
+        << GetParam().text << kTableUnit;
+    try {
+        SweepJournal journal{file.path(), kTableFp, true};
+        FAIL() << "malformed header accepted";
+    } catch (const JournalError& err) {
+        EXPECT_NE(std::string{err.what()}.find(GetParam().reason), std::string::npos)
+            << err.what();
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SweepJournal, MalformedHeader,
+    ::testing::Values(
+        MalformedCase{"MissingHeader", "", "not a sweep journal"},
+        MalformedCase{"WrongVersion", "smn-sweep-journal v2 fingerprint=0123456789abcdef\n",
+                      "not a sweep journal"},
+        MalformedCase{"ShortFingerprint", "smn-sweep-journal v1 fingerprint=0123456789abcde\n",
+                      "not a sweep journal"},
+        MalformedCase{"TrailingSpace", "smn-sweep-journal v1 fingerprint=0123456789abcdef \n",
+                      "not a sweep journal"},
+        MalformedCase{"CrlfLineEnding",
+                      "smn-sweep-journal v1 fingerprint=0123456789abcdef\r\n",
+                      "not a sweep journal"},
+        MalformedCase{"NonHexFingerprint",
+                      "smn-sweep-journal v1 fingerprint=0123456789abcdeg\n",
+                      "bad header fingerprint"},
+        MalformedCase{"SignedFingerprint",
+                      "smn-sweep-journal v1 fingerprint=-123456789abcdef\n",
+                      "bad header fingerprint"}),
+    case_name);
+
+TEST(SweepJournal, EmptyFileIsRejected) {
+    TempFile file{"empty"};
+    std::ofstream{file.path(), std::ios::binary | std::ios::trunc};
+    EXPECT_THROW((SweepJournal{file.path(), kTableFp, true}), JournalError);
+}
+
+TEST(SweepJournal, TornHeaderIsRejected) {
+    // A crash before the header's newline leaves no complete line at all:
+    // there is nothing to resume, so the file is refused, not recreated.
+    TempFile file{"torn_header"};
+    std::ofstream{file.path(), std::ios::binary | std::ios::trunc}
+        << kTableHeader.substr(0, 20);
+    EXPECT_THROW((SweepJournal{file.path(), kTableFp, true}), JournalError);
+}
+
+class MalformedUnitLine : public ::testing::TestWithParam<MalformedCase> {};
+
+TEST_P(MalformedUnitLine, IsFatalMidFileAndDroppedAsTornTail) {
+    const std::string valid = kTableHeader + kTableUnit;
+    TempFile file{"bad_unit"};
+
+    // Mid-file: a complete record follows the damaged one.
+    std::ofstream{file.path(), std::ios::binary | std::ios::trunc}
+        << valid << GetParam().text << '\n'
+        << "unit gossip 5 wall=0 m=2\n";
+    try {
+        SweepJournal journal{file.path(), kTableFp, true};
+        FAIL() << "malformed mid-file line accepted";
+    } catch (const JournalError& err) {
+        const std::string what = err.what();
+        EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+        EXPECT_NE(what.find(GetParam().reason), std::string::npos) << what;
+    }
+
+    // Final unterminated fragment: the crash signature, so it is dropped
+    // and truncated away, leaving exactly the valid prefix.
+    std::ofstream{file.path(), std::ios::binary | std::ios::trunc} << valid << GetParam().text;
+    {
+        SweepJournal journal{file.path(), kTableFp, true};
+        EXPECT_EQ(journal.replayed(), 1u);
+        EXPECT_NE(journal.find("gossip", 0), nullptr);
+    }
+    EXPECT_EQ(slurp(file.path()), valid);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SweepJournal, MalformedUnitLine,
+    ::testing::Values(
+        MalformedCase{"WrongKeyword", "record gossip 1 wall=0 m=2", "expected 'unit' record"},
+        MalformedCase{"BlankLine", "", "expected 'unit' record"},
+        MalformedCase{"LeadingSpace", " unit gossip 1 wall=0", "expected 'unit' record"},
+        MalformedCase{"MissingIndex", "unit gossip", "bad unit index"},
+        MalformedCase{"NegativeIndex", "unit gossip -1 wall=0", "bad unit index"},
+        MalformedCase{"AlphaIndex", "unit gossip x wall=0", "bad unit index"},
+        MalformedCase{"IndexSuffix", "unit gossip 3x wall=0", "bad unit index"},
+        MalformedCase{"IndexOverflow", "unit gossip 99999999999 wall=0", "bad unit index"},
+        MalformedCase{"MissingWall", "unit gossip 1 m=2", "missing wall field"},
+        MalformedCase{"FieldWithoutEquals", "unit gossip 1 wall=0 m", "malformed metric field"},
+        MalformedCase{"EmptyName", "unit gossip 1 wall=0 =2", "malformed metric field"},
+        MalformedCase{"DoubleSpace", "unit gossip 1 wall=0  m=2", "malformed metric field"},
+        MalformedCase{"EmptyValue", "unit gossip 1 wall=0 m=", "bad metric value for 'm'"},
+        MalformedCase{"ValueSuffix", "unit gossip 1 wall=0 m=2x", "bad metric value for 'm'"},
+        MalformedCase{"BadWall", "unit gossip 1 wall=soon", "bad metric value for 'wall'"},
+        MalformedCase{"EmbeddedNul", std::string{"unit gossip 1 wall=0 m=2\0", 25},
+                      "bad metric value for 'm'"}),
+    case_name);
 
 #if SMN_FAILPOINTS_ENABLED
 

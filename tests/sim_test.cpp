@@ -1,6 +1,7 @@
 // sim_test.cpp — CLI args and the deterministic replication runner.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -425,6 +426,95 @@ TEST(Runner, SmnThreadsEnvironmentOverride) {
     EXPECT_EQ(default_threads(), fallback);
     ASSERT_EQ(unsetenv("SMN_THREADS"), 0);
     EXPECT_GE(default_threads(), 1);
+}
+
+// ------------------------------------------ fault-isolating dispatch
+
+TEST(Runner, TolerantRunCompletesHealthyUnitsAroundFailures) {
+    // Units 3 and 8 throw on every attempt; every other unit must still
+    // run exactly once, and each failing unit is tried 1 + retries times.
+    for (const int threads : {1, 4}) {
+        std::vector<std::atomic<int>> calls(12);
+        const auto failures = ReplicationPool::instance().run_units_tolerant(
+            12, threads, 2, [&calls](int unit) {
+                calls[static_cast<std::size_t>(unit)].fetch_add(1);
+                if (unit == 3 || unit == 8) {
+                    throw std::runtime_error("unit " + std::to_string(unit) + " down");
+                }
+            });
+        ASSERT_EQ(failures.size(), 2U) << threads;
+        EXPECT_EQ(failures[0].unit, 3);
+        EXPECT_EQ(failures[1].unit, 8);
+        for (const auto& failure : failures) {
+            EXPECT_EQ(failure.attempts, 3);
+            EXPECT_EQ(failure.message, "unit " + std::to_string(failure.unit) + " down");
+        }
+        for (int unit = 0; unit < 12; ++unit) {
+            const int expected = unit == 3 || unit == 8 ? 3 : 1;
+            EXPECT_EQ(calls[static_cast<std::size_t>(unit)].load(), expected)
+                << "unit " << unit << ", threads " << threads;
+        }
+    }
+}
+
+TEST(Runner, TolerantRetryRecoversTransientFailure) {
+    std::vector<std::atomic<int>> calls(8);
+    const auto failures = ReplicationPool::instance().run_units_tolerant(
+        8, 4, 1, [&calls](int unit) {
+            if (calls[static_cast<std::size_t>(unit)].fetch_add(1) == 0 && unit == 5) {
+                throw std::runtime_error("transient");
+            }
+        });
+    EXPECT_TRUE(failures.empty());
+    EXPECT_EQ(calls[5].load(), 2);  // first attempt failed, the retry succeeded
+    for (int unit = 0; unit < 8; ++unit) {
+        if (unit != 5) {
+            EXPECT_EQ(calls[static_cast<std::size_t>(unit)].load(), 1) << unit;
+        }
+    }
+}
+
+TEST(Runner, TolerantNegativeRetriesMeanOneAttempt) {
+    std::atomic<int> calls{0};
+    const auto failures = ReplicationPool::instance().run_units_tolerant(
+        1, 1, -3, [&calls](int) {
+            calls.fetch_add(1);
+            throw std::runtime_error("always");
+        });
+    ASSERT_EQ(failures.size(), 1U);
+    EXPECT_EQ(failures[0].attempts, 1);
+    EXPECT_EQ(calls.load(), 1);
+}
+
+TEST(Runner, TolerantFailureKeepsTheOriginalException) {
+    // Fail-fast callers rethrow UnitFailure::error, so the concrete type
+    // must survive; a non-std exception still gets a message.
+    const auto failures = ReplicationPool::instance().run_units_tolerant(
+        2, 1, 0, [](int unit) {
+            if (unit == 0) throw std::domain_error("typed failure");
+            throw 42;
+        });
+    ASSERT_EQ(failures.size(), 2U);
+    EXPECT_EQ(failures[0].message, "typed failure");
+    EXPECT_THROW(std::rethrow_exception(failures[0].error), std::domain_error);
+    EXPECT_EQ(failures[1].message, "unknown exception");
+    EXPECT_THROW(std::rethrow_exception(failures[1].error), int);
+}
+
+TEST(Runner, TolerantFailuresAreSortedAtAnyThreadCount) {
+    // Every third unit fails; the failure list is ordered by unit index
+    // whatever the scheduling, so callers can walk it deterministically.
+    std::vector<int> expected;
+    for (int unit = 0; unit < 48; unit += 3) expected.push_back(unit);
+    for (const int threads : {1, 4, 16}) {
+        const auto failures = ReplicationPool::instance().run_units_tolerant(
+            48, threads, 0, [](int unit) {
+                if (unit % 3 == 0) throw std::runtime_error("third");
+            });
+        std::vector<int> units;
+        for (const auto& failure : failures) units.push_back(failure.unit);
+        EXPECT_EQ(units, expected) << threads;
+    }
 }
 
 }  // namespace
