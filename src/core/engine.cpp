@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -33,6 +35,64 @@ rng::Rng make_rng(const EngineConfig& config) { return rng::Rng{config.seed}; }
 
 walk::AgentEnsemble make_agents(const EngineConfig& config, rng::Rng& rng) {
     return walk::AgentEnsemble{grid::Grid2D::square(config.side), config.k, rng, config.walk};
+}
+
+/// ⌊√v⌋ for v >= 0, exact: the double estimate is corrected in integers.
+std::int64_t isqrt(std::int64_t v) noexcept {
+    auto s = static_cast<std::int64_t>(std::sqrt(static_cast<double>(v)));
+    while (s * s > v) --s;
+    while ((s + 1) * (s + 1) <= v) ++s;
+    return s;
+}
+
+/// Smallest distance key between (x, y) and the n points (xs[i], ys[i]):
+/// the metric distance for L1 and L∞, its square for L2. Branch-free, so
+/// the loop vectorizes; L1 and L∞ keys fit uint32 on any int32 grid.
+template <grid::Metric M>
+std::int64_t nearest_key(grid::Coord x, grid::Coord y, const grid::Coord* xs,
+                         const grid::Coord* ys, std::size_t n) noexcept {
+    if constexpr (M == grid::Metric::kEuclidean) {
+        std::int64_t best = std::numeric_limits<std::int64_t>::max();
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::int64_t dx = std::int64_t{xs[i]} - x;
+            const std::int64_t dy = std::int64_t{ys[i]} - y;
+            best = std::min(best, dx * dx + dy * dy);
+        }
+        return best;
+    } else {
+        std::uint32_t best = std::numeric_limits<std::uint32_t>::max();
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::int32_t dx = xs[i] - x;
+            const std::int32_t dy = ys[i] - y;
+            const auto adx = static_cast<std::uint32_t>(dx < 0 ? -dx : dx);
+            const auto ady = static_cast<std::uint32_t>(dy < 0 ? -dy : dy);
+            const auto key = M == grid::Metric::kManhattan ? adx + ady : std::max(adx, ady);
+            best = std::min(best, key);
+        }
+        return best;
+    }
+}
+
+/// Minimum key between the agents whose flag differs from `near_flag`
+/// (the far side, scanned in id order) and the gathered near side. Stops
+/// as soon as the minimum is at most `stop_key`; `pairs` counts the
+/// distances evaluated.
+template <grid::Metric M>
+std::int64_t min_cross_key(std::span<const grid::Point> positions,
+                           std::span<const std::uint8_t> flags, std::uint8_t near_flag,
+                           const std::vector<grid::Coord>& xs,
+                           const std::vector<grid::Coord>& ys, std::int64_t stop_key,
+                           std::int64_t& pairs) noexcept {
+    std::int64_t best = std::numeric_limits<std::int64_t>::max();
+    for (std::size_t a = 0; a < positions.size(); ++a) {
+        if (flags[a] == near_flag) continue;
+        pairs += static_cast<std::int64_t>(xs.size());
+        best = std::min(best,
+                        nearest_key<M>(positions[a].x, positions[a].y, xs.data(), ys.data(),
+                                       xs.size()));
+        if (best <= stop_key) break;
+    }
+    return best;
 }
 
 const BroadcastState& validate(const BroadcastState& state) {
@@ -140,6 +200,9 @@ std::vector<std::pair<const char*, double>> BroadcastProcess::counters() const {
         {"dsu.fast_path_hits", d(dsu.fast_path_hits)},
         {"walk.blocks_decoded", d(walk.blocks_decoded)},
         {"walk.blocks_scalar", d(walk.blocks_scalar)},
+        {"cert.checks", d(cert_.checks)},
+        {"cert.pairs_tested", d(cert_.pairs_tested)},
+        {"cert.quiet_steps", d(cert_.quiet_steps)},
     };
 }
 
@@ -179,6 +242,7 @@ obs::StepRecord BroadcastProcess::trace_totals() const noexcept {
     const auto& walk = agents_.decode_stats();
     cur.blocks_decoded = walk.blocks_decoded;
     cur.blocks_scalar = walk.blocks_scalar;
+    cur.quiet = cert_.quiet_steps;
     return cur;
 }
 
@@ -207,6 +271,7 @@ void BroadcastProcess::trace_step() {
     rec.dsu_fast_hits = cur.dsu_fast_hits - trace_prev_.dsu_fast_hits;
     rec.blocks_decoded = cur.blocks_decoded - trace_prev_.blocks_decoded;
     rec.blocks_scalar = cur.blocks_scalar - trace_prev_.blocks_scalar;
+    rec.quiet = cur.quiet - trace_prev_.quiet;
     rec.units = builder_.occupied_units();
     rec.informed = rumor_.informed_count();
     rec.components = static_cast<std::int64_t>(dsu_.set_count());
@@ -220,21 +285,18 @@ void BroadcastProcess::step() {
     using clock = std::chrono::steady_clock;
     const auto stamp = [this] { return timing_ ? clock::now() : clock::time_point{}; };
     const auto t0 = stamp();
-    // Once the rumor has saturated and nothing observes the partition,
-    // neither the component pass nor the exchange can affect observable
-    // state — and with the component pass deferred, maintaining the
-    // spatial index per move is pointless too. The step degenerates to
-    // the walk; components() rebuilds index + partition on demand.
-    const bool lazy = observers_.empty() && rumor_.all_informed();
-    // A fresh dirty epoch — unless state is deferred, in which case the
-    // index will be rebuilt from scratch anyway.
-    if (!lazy && !stale_) builder_.begin_step();
-    // Boundary-crossing agents feed the incremental spatial index; the
-    // constructor's build() indexed the ensemble's (stable) position
-    // storage, so only the component pass below runs over the dirty
-    // region. No hook while deferred: the on-demand build() re-links
-    // everything.
-    const bool hook = !lazy && !stale_;
+    // Exchange-free step (certified by the last idle pass, or saturated):
+    // with nothing observing the partition, neither the component pass nor
+    // the exchange can change observable state, so the step is the walk.
+    const bool saturated = rumor_.all_informed();
+    const bool quiet = observers_.empty() && (quiet_ > 0 || saturated);
+    // Node changes feed the incremental spatial index, quiet steps
+    // included: the dirty epoch stays open until the next pass, which then
+    // rescans every bucket touched since the last one. Past saturation the
+    // quiet window never ends, so the walk stops feeding the index and the
+    // catch-up re-indexes from scratch instead.
+    unindexed_ = unindexed_ || (quiet && saturated);
+    const bool hook = !unindexed_;
     const auto report = [this, hook](walk::AgentId a, grid::Point from, grid::Point to) {
         if (hook) builder_.on_move(a, from, to);
     };
@@ -248,42 +310,90 @@ void BroadcastProcess::step() {
         std::copy(flags.begin(), flags.end(), move_mask_.begin());
         agents_.step_subset(rng_, move_mask_, report);
     }
+    stale_ = true;
     const auto t1 = stamp();
     if (timing_) walk_seconds_ += std::chrono::duration<double>(t1 - t0).count();
-    if (lazy) {
-        stale_ = true;
+    if (quiet) {
+        if (quiet_ > 0) --quiet_;
+        ++cert_.quiet_steps;
         trace_step();
         return;
     }
-    if (stale_) {
-        // First observed step after deferred ones: re-index from scratch.
-        builder_.build(agents_.positions(), dsu_);
-        stale_ = false;
-    } else {
-        builder_.rebuild_components(agents_.positions(), dsu_);
-    }
+    refresh_components();
     const auto t2 = stamp();
+    const auto informed_before = rumor_.informed_count();
     exchange();
-    if (timing_) {
-        const auto t3 = clock::now();
-        rebuild_seconds_ += std::chrono::duration<double>(t2 - t1).count();
-        exchange_seconds_ += std::chrono::duration<double>(t3 - t2).count();
-    }
+    // An idle pass certifies how many of the next steps stay exchange-free.
+    const bool idle = rumor_.informed_count() == informed_before && !rumor_.all_informed();
+    quiet_ = idle && observers_.empty() ? certify() : 0;
+    if (timing_) exchange_seconds_ += std::chrono::duration<double>(clock::now() - t2).count();
     trace_step();
     notify();
 }
 
+std::int64_t BroadcastProcess::certify() {
+    ++cert_.checks;
+    const bool frog = config_.mobility == Mobility::kInformedOnly;
+    // D at or below `stop` certifies nothing: ⌊(D − r − 1)/2⌋ (all-move) or
+    // D − r − 1 (Frog) is zero there.
+    const std::int64_t stop = config_.radius + (frog ? 1 : 2);
+    // No two nodes are farther apart than 2(side − 1), in any metric.
+    if (stop >= 2 * (std::int64_t{config_.side} - 1)) return 0;
+    // Gather the smaller side; the scan then costs |near| per far agent.
+    const auto flags = rumor_.flags();
+    const auto positions = agents_.positions();
+    const std::uint8_t near_flag = 2 * std::int64_t{rumor_.informed_count()} <= config_.k ? 1 : 0;
+    near_x_.clear();
+    near_y_.clear();
+    for (std::size_t a = 0; a < flags.size(); ++a) {
+        if (flags[a] != near_flag) continue;
+        near_x_.push_back(positions[a].x);
+        near_y_.push_back(positions[a].y);
+    }
+    std::int64_t d = 0;
+    const auto scan = [&]<grid::Metric M>(std::int64_t stop_key) {
+        return min_cross_key<M>(positions, flags, near_flag, near_x_, near_y_, stop_key,
+                                cert_.pairs_tested);
+    };
+    switch (config_.metric) {
+        case grid::Metric::kManhattan:
+            d = scan.template operator()<grid::Metric::kManhattan>(stop);
+            break;
+        case grid::Metric::kChebyshev:
+            d = scan.template operator()<grid::Metric::kChebyshev>(stop);
+            break;
+        case grid::Metric::kEuclidean: {
+            // Squared keys; ⌊√D²⌋ ≤ stop exactly when D² < (stop + 1)².
+            const auto stop_sq = (stop + 1) * (stop + 1) - 1;
+            d = isqrt(scan.template operator()<grid::Metric::kEuclidean>(stop_sq));
+            break;
+        }
+    }
+    if (d <= stop) return 0;
+    // Each step moves every walker at most one unit, so a pair's distance
+    // shrinks by at most 2 per step (1 under Frog, where the uninformed
+    // side is frozen); it stays above r for these many steps.
+    const auto slack = d - config_.radius - 1;
+    return frog ? slack : slack / 2;
+}
+
 void BroadcastProcess::refresh_components() {
-    if (!stale_) return;  // partition is current as of the last full step
-    // Deferred steps walked without index maintenance: re-index from
-    // scratch, which also recomputes the partition. Accounted under the
-    // rebuild phase so phase_timings() subtraction stays consistent.
+    if (!stale_) return;  // no step since the last pass
+    // One pass over every bucket dirtied since the last one (a single step,
+    // or a whole run of exchange-free steps), or a from-scratch re-index
+    // once the index stopped tracking moves. Accounted under the rebuild
+    // phase so phase_timings() subtraction stays consistent.
     // smn-lint: allow(wall-clock) timing-only telemetry, gated behind timing_
     using clock = std::chrono::steady_clock;
     const auto t0 = timing_ ? clock::now() : clock::time_point{};
-    builder_.build(agents_.positions(), dsu_);
+    if (unindexed_) {
+        builder_.build(agents_.positions(), dsu_);
+    } else {
+        builder_.rebuild_components(agents_.positions(), dsu_);
+    }
     if (timing_) rebuild_seconds_ += std::chrono::duration<double>(clock::now() - t0).count();
     stale_ = false;
+    unindexed_ = false;
 }
 
 void BroadcastProcess::set_phase_timing(bool on) noexcept {

@@ -74,7 +74,8 @@ struct EngineConfig {
 /// index_s is the component pass's index-prep portion (CSR snapshot +
 /// taint expansion inside the builder); components_s is the remainder of
 /// the rebuild (pair scan / edge replay + unions); walk_s includes the
-/// O(1) per-move index updates reported from the walk kernel.
+/// O(1) per-move index updates reported from the walk kernel; exchange_s
+/// includes the exchange-free certificate that follows an idle exchange.
 struct StepPhaseTimings {
     double walk_s{0.0};
     double index_s{0.0};
@@ -159,6 +160,18 @@ public:
     void attach(Observer& observer) { observers_.push_back(&observer); }
 
     /// Advances the process one time step: move, rebuild G_t(r), exchange.
+    ///
+    /// Exchange-free steps: after a pass whose exchange informed nobody,
+    /// and while no observer is attached, the engine computes D, the
+    /// minimum informed–uninformed distance in the config's metric. Every
+    /// walk moves at most one lattice unit per step (in L1, L∞ and L2), so
+    /// no informed–uninformed pair can come within r for the next
+    /// ⌊(D − r − 1)/2⌋ steps (D − r − 1 under Frog mobility, where only
+    /// informed agents move). Those steps only walk: they draw the same RNG
+    /// words and keep the spatial index current, but skip the component
+    /// pass and the exchange, which could not inform anyone. After
+    /// saturation every step is exchange-free and the index is no longer
+    /// fed. Trajectories are bit-identical to the always-full loop.
     void step();
 
     /// Steps until all agents are informed or `max_steps` is reached.
@@ -172,9 +185,10 @@ public:
     [[nodiscard]] const grid::Grid2D& grid() const noexcept { return agents_.grid(); }
     [[nodiscard]] const EngineConfig& config() const noexcept { return config_; }
 
-    /// The component partition of G_t(r) at the current time step. Once
-    /// the rumor has saturated and no observers are attached, step() skips
-    /// the (unobservable) component pass; this accessor recomputes it on
+    /// The component partition of G_t(r) at the current time step. While
+    /// no observer is attached, step() skips the component pass on steps
+    /// certified exchange-free (see step()) and on every step after
+    /// saturation; this accessor brings the partition up to date on
     /// demand, so callers always see the partition of the current
     /// positions.
     [[nodiscard]] graph::DisjointSets& components() {
@@ -190,7 +204,7 @@ public:
     [[nodiscard]] StepPhaseTimings phase_timings() const noexcept;
 
     /// Name → value of every engine counter, cumulative since
-    /// construction (scan.*, index.*, dsu.*, walk.*). Values are int64
+    /// construction (scan.*, index.*, dsu.*, walk.*, cert.*). Values are int64
     /// tallies widened to double for the metric pipeline; the gated ones
     /// read zero under -DSMN_DISABLE_OBS.
     [[nodiscard]] std::vector<std::pair<const char*, double>> counters() const;
@@ -202,7 +216,17 @@ public:
     void set_trace(obs::StepTrace* trace) noexcept;
 
 private:
+    /// Exchange-free certificate telemetry (always on: one increment per
+    /// certificate or skipped step).
+    struct CertStats {
+        std::int64_t checks{0};        ///< certificates computed
+        std::int64_t pairs_tested{0};  ///< informed–uninformed distances evaluated
+        std::int64_t quiet_steps{0};   ///< steps that skipped the pass and exchange
+    };
+
     void exchange();
+    /// Number of upcoming steps certified exchange-free (see step()).
+    [[nodiscard]] std::int64_t certify();
     void notify();
     void refresh_components();
     [[nodiscard]] obs::StepRecord trace_totals() const noexcept;
@@ -219,7 +243,12 @@ private:
     std::vector<std::uint8_t> root_informed_;  ///< scratch, size k
     std::vector<std::uint8_t> move_mask_;      ///< scratch for frog mobility
     std::vector<std::int32_t> labels_;         ///< scratch: component labels
-    bool stale_{false};  ///< index + component pass deferred (post-completion)
+    std::vector<grid::Coord> near_x_;          ///< scratch: certificate's smaller side
+    std::vector<grid::Coord> near_y_;
+    std::int64_t quiet_{0};  ///< certified exchange-free steps still ahead
+    bool stale_{false};      ///< dsu_ lags the positions (a step since the last pass)
+    bool unindexed_{false};  ///< saturated: the index stopped tracking moves
+    CertStats cert_;
     bool timing_{false};
     double walk_seconds_{0.0};
     double rebuild_seconds_{0.0};

@@ -87,6 +87,7 @@ void VisibilityGraphBuilder::build(std::span<const grid::Point> positions, Disjo
     if (radius_ == 0) {
         // Co-location: union every agent on a node with the node's first
         // agent; O(k) total.
+        ++stats_.passes;
         occupancy_.rebuild(positions);
         for (const auto node : occupancy_.occupied_nodes()) {
             const auto first = occupancy_.first_at(grid_.point_of(node));

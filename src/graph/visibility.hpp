@@ -46,7 +46,8 @@
 //    recomputed; the savings are the spatial index and the clean-region
 //    replay. (begin_step() is optional when every rebuild consumes the
 //    moves since the previous one, as rebuild_components() closes the
-//    dirty epoch itself.)
+//    dirty epoch itself. An epoch may span several steps' moves: the
+//    engine leaves it open across exchange-free steps.)
 //
 // ComponentStats summarizes a partition: component count, maximum size
 // ("islands" of Definition 2 / Lemma 6), size histogram, and the largest
@@ -79,7 +80,7 @@ public:
     /// configuration); the per-pair and per-edge tallies compile out under
     /// -DSMN_DISABLE_OBS and then read zero.
     struct ScanStats {
-        std::int64_t passes{0};            ///< component passes (r >= 1)
+        std::int64_t passes{0};            ///< component passes (any r)
         std::int64_t bypass_passes{0};     ///< passes that bypassed the edge cache
         std::int64_t replayed_units{0};    ///< units replayed from the cache
         std::int64_t rescanned_units{0};   ///< units re-enumerated

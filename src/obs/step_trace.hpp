@@ -52,6 +52,7 @@ struct StepRecord {
     std::int64_t dsu_fast_hits{0};    ///< DSU same-parent/root fast-path hits
     std::int64_t blocks_decoded{0};   ///< walk RNG blocks decoded vectorized
     std::int64_t blocks_scalar{0};    ///< blocks replayed scalar (rejection/ablation)
+    std::int64_t quiet{0};            ///< 1 if the step was exchange-free (no pass)
     std::int64_t informed{0};         ///< informed agents after the exchange
     std::int64_t components{0};       ///< components of G_t(r)
 };
@@ -144,6 +145,7 @@ private:
         field_i("dsu_fast_hits", r.dsu_fast_hits);
         field_i("blocks_decoded", r.blocks_decoded);
         field_i("blocks_scalar", r.blocks_scalar);
+        field_i("quiet", r.quiet);
         field_i("informed", r.informed);
         field_i("components", r.components);
         out += '}';

@@ -1,14 +1,25 @@
 // engine_property_test.cpp — parameterized property sweep of the
 // dissemination engine across the configuration space: every run must
 // satisfy the model's structural invariants regardless of parameters.
+// A seeded differential test then checks the exchange-free step path
+// against the full pass on every step.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <array>
+#include <filesystem>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/broadcast.hpp"
 #include "core/engine.hpp"
 #include "core/observers.hpp"
+#include "graph/visibility.hpp"
+#include "io/snapshot.hpp"
+#include "rng/rng.hpp"
 #include "smn.hpp"  // umbrella header compiles cleanly (checked here)
 
 namespace smn::core {
@@ -120,6 +131,124 @@ INSTANTIATE_TEST_SUITE_P(
         SweepParam{24, 3, 0, walk::WalkKind::kLazyPaper, Mobility::kAllMove, 17},
         SweepParam{24, 48, 0, walk::WalkKind::kLazyPaper, Mobility::kAllMove, 18}),
     param_name);
+
+// ------------------------------------------------ exchange-free steps
+
+/// Attaching any observer makes the engine run the full component pass
+/// and exchange on every step: the reference for the differential test.
+class NoOpObserver final : public Observer {
+public:
+    void on_step(const StepView& /*view*/) override {}
+};
+
+double quiet_steps(const BroadcastProcess& process) {
+    for (const auto& [name, value] : process.counters()) {
+        if (std::string_view{name} == "cert.quiet_steps") return value;
+    }
+    return -1.0;
+}
+
+/// True iff the two partitions of the same k agents are equal.
+bool same_partition(graph::DisjointSets& a, graph::DisjointSets& b, std::int32_t k) {
+    for (std::int32_t i = 0; i < k; ++i) {
+        for (std::int32_t j = i + 1; j < k; ++j) {
+            if (a.same(i, j) != b.same(i, j)) return false;
+        }
+    }
+    return true;
+}
+
+// Over seeded random configs (side, k, r in {0, 1, 2, 5}, all metrics,
+// walks and mobilities), a bare process — which skips the pass on steps
+// its certificate proves exchange-free — must match a process with an
+// observer attached, which runs the full pass every step: same informed
+// times, T_B and final positions. The bare run also checkpoints through a
+// snapshot file at a random t, and at a random quiet step, and again
+// after stepping past saturation, checks that components() catches up.
+TEST(ExchangeFreeSteps, MatchTheFullPassOnRandomConfigs) {
+    rng::Rng pick{0x5eed2011};
+    constexpr std::array<std::int64_t, 4> kRadii{0, 1, 2, 5};
+    constexpr std::int64_t kCap = 4000;
+    std::int64_t total_quiet = 0;
+    int probes = 0;
+    for (int trial = 0; trial < 160; ++trial) {
+        EngineConfig cfg;
+        cfg.side = static_cast<grid::Coord>(4 + pick.below(45));
+        cfg.k = static_cast<std::int32_t>(2 + pick.below(23));
+        cfg.radius = kRadii[pick.below(kRadii.size())];
+        cfg.metric = static_cast<grid::Metric>(pick.below(3));
+        cfg.walk = static_cast<walk::WalkKind>(pick.below(3));
+        cfg.mobility = static_cast<Mobility>(pick.below(2));
+        cfg.source = static_cast<std::int32_t>(pick.below(static_cast<std::uint64_t>(cfg.k)));
+        cfg.seed = pick();
+        SCOPED_TRACE("trial " + std::to_string(trial) + ": side " + std::to_string(cfg.side) +
+                     " k " + std::to_string(cfg.k) + " r " + std::to_string(cfg.radius) +
+                     " metric " + grid::metric_name(cfg.metric) + " walk " +
+                     walk::walk_kind_name(cfg.walk) + " " + mobility_name(cfg.mobility));
+
+        NoOpObserver noop;
+        BroadcastProcess full{cfg};
+        full.attach(noop);
+        while (!full.complete() && full.time() < kCap) full.step();
+
+        const auto t_snap = static_cast<std::int64_t>(pick.below(
+            static_cast<std::uint64_t>(full.time()) + 1));
+        const auto t_probe = static_cast<std::int64_t>(pick.below(
+            static_cast<std::uint64_t>(full.time()) + 1));
+        std::optional<BroadcastProcess> bare{std::in_place, cfg};
+        bool probed = false;
+        while (!bare->complete() && bare->time() < kCap) {
+            if (bare->time() == t_snap) {
+                const auto path = (std::filesystem::temp_directory_path() /
+                                   ("smn_quiet_" + std::to_string(::getpid()) + "_" +
+                                    std::to_string(trial) + ".snap"))
+                                      .string();
+                io::save_snapshot(path, bare->capture());
+                bare.emplace(io::load_broadcast_snapshot(path));
+                std::filesystem::remove(path);
+            }
+            const auto quiet_before = quiet_steps(*bare);
+            bare->step();
+            const bool quiet = quiet_steps(*bare) > quiet_before;
+            total_quiet += quiet ? 1 : 0;
+            if (quiet && !probed && bare->time() >= t_probe) {
+                probed = true;
+                ++probes;
+                graph::DisjointSets naive{0};
+                graph::VisibilityGraphBuilder::build_naive(bare->agents().positions(),
+                                                           cfg.radius, cfg.metric, naive);
+                EXPECT_TRUE(same_partition(bare->components(), naive, cfg.k))
+                    << "components() after a quiet step at t = " << bare->time();
+            }
+        }
+
+        EXPECT_EQ(bare->time(), full.time());
+        EXPECT_EQ(bare->complete(), full.complete());
+        const auto bare_times = bare->rumor().times();
+        const auto full_times = full.rumor().times();
+        EXPECT_TRUE(std::equal(bare_times.begin(), bare_times.end(), full_times.begin(),
+                               full_times.end()))
+            << "informed times diverge";
+        // Past saturation the bare process stops maintaining its index;
+        // components() must still catch up to the full process's partition.
+        if (full.complete()) {
+            for (int s = 0; s < 25; ++s) {
+                bare->step();
+                full.step();
+            }
+            EXPECT_TRUE(same_partition(bare->components(), full.components(), cfg.k))
+                << "components() after saturation";
+        }
+        const auto bare_pos = bare->agents().positions();
+        const auto full_pos = full.agents().positions();
+        EXPECT_TRUE(
+            std::equal(bare_pos.begin(), bare_pos.end(), full_pos.begin(), full_pos.end()))
+            << "final positions diverge";
+    }
+    // The sweep must actually exercise the path under test.
+    EXPECT_GT(total_quiet, 20000);
+    EXPECT_GT(probes, 60);
+}
 
 }  // namespace
 }  // namespace smn::core

@@ -2,14 +2,16 @@
 // (including exact sums under concurrent increments), the bounded
 // step-trace ring and its claim-once arming protocol, and the engine-level
 // contracts: tracing never perturbs trajectories, per-step scan counters
-// satisfy rescanned + replayed == occupied units, and the destructor
-// flushes each engine's tallies into the registry exactly once.
+// satisfy rescanned + replayed == occupied units, every step that is not
+// exchange-free runs exactly one pass, and the destructor flushes each
+// engine's tallies into the registry exactly once.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -226,19 +228,32 @@ TEST(EngineTrace, RecordsCarryGaugesAndStepNumbers) {
 // the per-step counter deltas must tile the occupied-unit count exactly.
 // Checked through the trace (whose rescanned/replayed fields are per-step
 // deltas and whose units field is the occupied count at the same pass).
+// Exchange-free steps (certified, or past saturation) run no pass at all
+// and must show no scan work. The run goes past saturation, so both kinds
+// of step face the invariant.
 TEST(EngineCounters, RescannedPlusReplayedTilesOccupiedUnitsEachStep) {
     StepTrace trace;
     core::BroadcastProcess process{small_config()};
     process.set_trace(&trace);
-    // Stop at completion: post-saturation steps take the lazy path (no
-    // component pass), which the invariant deliberately doesn't cover.
-    for (int s = 0; s < 60 && !process.complete(); ++s) process.step();
-    ASSERT_GE(trace.size(), 10u);
+    for (int s = 0; s < 200; ++s) process.step();
+    ASSERT_TRUE(process.complete());
+    ASSERT_EQ(trace.size(), 200u);
+    std::int64_t passes = 0;
+    std::int64_t quiet = 0;
     for (std::size_t i = 0; i < trace.size(); ++i) {
         const auto& rec = trace.at(i);
-        EXPECT_EQ(rec.rescanned + rec.replayed, rec.units)
-            << "step " << rec.step << " (bypass=" << rec.bypass << ")";
+        ASSERT_TRUE(rec.quiet == 0 || rec.quiet == 1) << "step " << rec.step;
+        if (rec.quiet == 1) {
+            ++quiet;
+            EXPECT_EQ(rec.rescanned + rec.replayed, 0) << "quiet step " << rec.step;
+        } else {
+            ++passes;
+            EXPECT_EQ(rec.rescanned + rec.replayed, rec.units)
+                << "step " << rec.step << " (bypass=" << rec.bypass << ")";
+        }
     }
+    EXPECT_GT(passes, 0);
+    EXPECT_GT(quiet, 0);
 }
 
 // Same invariant straight at the builder layer, covering forced bypass
@@ -290,9 +305,43 @@ TEST(EngineCounters, ReportsTheDocumentedNames) {
          {"scan.passes", "scan.units_rescanned", "scan.units_replayed",
           "scan.bypass_passes", "scan.pairs_tested", "scan.pairs_survived",
           "scan.edges_cached", "scan.edges_replayed", "index.moves", "dsu.unites",
-          "walk.blocks_decoded"}) {
+          "walk.blocks_decoded", "cert.checks", "cert.pairs_tested", "cert.quiet_steps"}) {
         EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
             << "missing counter " << expected;
+    }
+}
+
+double engine_counter(const core::BroadcastProcess& process, std::string_view name) {
+    for (const auto& [key, value] : process.counters()) {
+        if (std::string_view{key} == name) return value;
+    }
+    ADD_FAILURE() << "no engine counter " << name;
+    return -1.0;
+}
+
+// Every step either runs one component pass or is exchange-free, and the
+// constructor runs one more, so on a run that never calls components()
+// scan.passes == 1 + t − cert.quiet_steps — on the r = 0 co-location path
+// as on the bucket path. The sparse configs certify quiet windows before
+// saturation, and the runs continue past it.
+TEST(EngineCounters, PassesCountEveryStepThatIsNotQuiet) {
+    for (const std::int64_t radius : {0, 1, 3}) {
+        core::EngineConfig cfg;
+        cfg.side = 48;
+        cfg.k = 10;
+        cfg.radius = radius;
+        cfg.seed = 77;
+        core::BroadcastProcess process{cfg};
+        while (!process.complete()) process.step();
+        const auto tb = process.time();
+        for (int s = 0; s < 50; ++s) process.step();
+        const auto passes = engine_counter(process, "scan.passes");
+        const auto quiet = engine_counter(process, "cert.quiet_steps");
+        EXPECT_EQ(passes, static_cast<double>(1 + process.time()) - quiet) << "r = " << radius;
+        EXPECT_GT(quiet, 50.0) << "r = " << radius << ": no certified window before T_B";
+        EXPECT_LT(passes, static_cast<double>(tb)) << "r = " << radius;
+        EXPECT_GT(engine_counter(process, "cert.checks"), 0.0);
+        EXPECT_GT(engine_counter(process, "cert.pairs_tested"), 0.0);
     }
 }
 
