@@ -12,9 +12,7 @@
 
 namespace smn::core {
 
-namespace {
-
-EngineConfig validate(EngineConfig config) {
+EngineConfig validate_config(EngineConfig config) {
     if (config.side < 1) {
         throw std::invalid_argument("EngineConfig: side must be >= 1");
     }
@@ -28,8 +26,24 @@ EngineConfig validate(EngineConfig config) {
         throw std::invalid_argument("EngineConfig: source " + std::to_string(config.source) +
                                     " out of range [0," + std::to_string(config.k) + ")");
     }
+    // Enumerators arrive unchecked from snapshots; an undeclared one would
+    // match no case of the metric, walk or mobility dispatch.
+    if (config.metric > grid::Metric::kEuclidean) {
+        throw std::invalid_argument("EngineConfig: unknown metric " +
+                                    std::to_string(static_cast<int>(config.metric)));
+    }
+    if (config.walk > walk::WalkKind::kLazyHalf) {
+        throw std::invalid_argument("EngineConfig: unknown walk " +
+                                    std::to_string(static_cast<int>(config.walk)));
+    }
+    if (config.mobility > Mobility::kInformedOnly) {
+        throw std::invalid_argument("EngineConfig: unknown mobility " +
+                                    std::to_string(static_cast<int>(config.mobility)));
+    }
     return config;
 }
+
+namespace {
 
 rng::Rng make_rng(const EngineConfig& config) { return rng::Rng{config.seed}; }
 
@@ -96,7 +110,7 @@ std::int64_t min_cross_key(std::span<const grid::Point> positions,
 }
 
 const BroadcastState& validate(const BroadcastState& state) {
-    (void)validate(state.config);
+    (void)validate_config(state.config);
     const auto k = static_cast<std::size_t>(state.config.k);
     if (state.positions.size() != k || state.informed.size() != k ||
         state.informed_time.size() != k) {
@@ -109,7 +123,7 @@ const BroadcastState& validate(const BroadcastState& state) {
 }  // namespace
 
 BroadcastProcess::BroadcastProcess(const EngineConfig& config)
-    : config_{validate(config)},
+    : config_{validate_config(config)},
       rng_{make_rng(config_)},
       agents_{make_agents(config_, rng_)},
       builder_{agents_.grid(), config_.radius, config_.metric},

@@ -69,6 +69,12 @@ struct EngineConfig {
     [[nodiscard]] std::int64_t n() const noexcept { return std::int64_t{side} * side; }
 };
 
+/// The config check both processes run, fresh and restored: side >= 1,
+/// k >= 1, radius >= 0, source in [0, k), and metric, walk and mobility
+/// naming a declared enumerator. Throws std::invalid_argument; returns the
+/// config unchanged.
+[[nodiscard]] EngineConfig validate_config(EngineConfig config);
+
 /// Cumulative wall-clock attribution of the step loop's phases, captured
 /// when phase timing is enabled (see BroadcastProcess::set_phase_timing).
 /// index_s is the component pass's index-prep portion (CSR snapshot +
@@ -120,9 +126,8 @@ struct BroadcastState {
 /// Single-rumor dissemination process (broadcast; Frog model via config).
 class BroadcastProcess {
 public:
-    /// Validates the config, places agents, performs the t = 0 exchange.
-    /// Throws std::invalid_argument on k < 1, radius < 0, or source out of
-    /// range.
+    /// Validates the config (validate_config), places agents, performs
+    /// the t = 0 exchange.
     explicit BroadcastProcess(const EngineConfig& config);
 
     /// Restores a process captured by capture(): positions, rumor state,

@@ -9,7 +9,7 @@
 namespace smn::core {
 
 GossipProcess::GossipProcess(const EngineConfig& config)
-    : config_{config},
+    : config_{validate_config(config)},
       rng_{config.seed},
       agents_{grid::Grid2D::square(config.side), config.k, rng_, config.walk},
       builder_{agents_.grid(), config.radius, config.metric},
@@ -18,8 +18,6 @@ GossipProcess::GossipProcess(const EngineConfig& config)
       rumor_known_count_(static_cast<std::size_t>(config.k), 1),
       rumor_complete_time_(static_cast<std::size_t>(config.k), -1),
       component_or_(static_cast<std::size_t>(config.k) * rumors_.words_per_agent(), 0) {
-    if (config.k < 1) throw std::invalid_argument("GossipProcess: k must be >= 1");
-    if (config.radius < 0) throw std::invalid_argument("GossipProcess: radius must be >= 0");
     known_pairs_ = config.k;  // each agent knows its own rumor
     if (config.k == 1) rumor_complete_time_[0] = 0;
     builder_.build(agents_.positions(), dsu_);
@@ -27,7 +25,7 @@ GossipProcess::GossipProcess(const EngineConfig& config)
 }
 
 GossipProcess::GossipProcess(const GossipState& state)
-    : config_{state.config},
+    : config_{validate_config(state.config)},
       rng_{rng::Xoshiro256StarStar{state.rng_state}},
       agents_{grid::Grid2D::square(config_.side), state.positions, config_.walk},
       builder_{agents_.grid(), config_.radius, config_.metric},

@@ -44,8 +44,9 @@ struct GossipState {
 /// Multi-rumor dissemination process (one rumor per agent initially).
 class GossipProcess {
 public:
-    /// Same config as broadcast; `config.source` is ignored (every agent is
-    /// a source of its own rumor).
+    /// Same config and validation as broadcast (validate_config); beyond
+    /// that check `config.source` is ignored (every agent is a source of
+    /// its own rumor).
     explicit GossipProcess(const EngineConfig& config);
 
     /// Restores a process captured by capture(); same contract as the

@@ -15,10 +15,13 @@
 // regardless of thread count (see exp/runner.hpp).
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/sweep.hpp"
@@ -50,6 +53,17 @@ public:
     [[nodiscard]] const std::string& get_string(const std::string& key) const;
     /// get_string parsed through resolve_count (symbolic counts vs n).
     [[nodiscard]] std::int64_t get_count(const std::string& key, std::int64_t n) const;
+    /// `value`, read from param `key` by get_int or get_count, narrowed to
+    /// T; throws std::invalid_argument naming the param when it does not
+    /// fit (a sweep value must never wrap silently).
+    template <std::integral T>
+    [[nodiscard]] static T narrow(const std::string& key, std::int64_t value) {
+        if (!std::in_range<T>(value)) {
+            throw std::invalid_argument("param '" + key + "': " + std::to_string(value) +
+                                        " is out of range");
+        }
+        return static_cast<T>(value);
+    }
 
     /// The raw bound values (sweep-provided keys only, no fallbacks).
     [[nodiscard]] const ParamValues& values() const noexcept { return values_; }

@@ -24,8 +24,8 @@ const std::vector<ParamSpec> kGridParams{
 
 core::EngineConfig engine_config(const ScenarioParams& p, std::uint64_t seed) {
     core::EngineConfig cfg;
-    cfg.side = static_cast<grid::Coord>(p.get_int("side"));
-    cfg.k = static_cast<std::int32_t>(p.get_count("k", cfg.n()));
+    cfg.side = p.narrow<grid::Coord>("side", p.get_int("side"));
+    cfg.k = p.narrow<std::int32_t>("k", p.get_count("k", cfg.n()));
     cfg.radius = p.get_int("radius");
     cfg.seed = seed;
     return cfg;
@@ -85,9 +85,9 @@ SMN_REGISTER_SCENARIO(
         .run_rep =
             [](const ScenarioParams& p, std::uint64_t seed) {
                 models::TorusConfig cfg;
-                cfg.side = static_cast<grid::Coord>(p.get_int("side"));
+                cfg.side = p.narrow<grid::Coord>("side", p.get_int("side"));
                 const std::int64_t n = std::int64_t{cfg.side} * cfg.side;
-                cfg.k = static_cast<std::int32_t>(p.get_count("k", n));
+                cfg.k = p.narrow<std::int32_t>("k", p.get_count("k", n));
                 cfg.seed = seed;
                 const auto cap = core::bounds::default_max_steps(n, cfg.k);
                 const auto res = models::run_torus_broadcast(cfg, cap);
@@ -119,8 +119,8 @@ SMN_REGISTER_SCENARIO(
         .run_rep =
             [](const ScenarioParams& p, std::uint64_t seed) {
                 core::EngineConfig cfg;
-                cfg.side = static_cast<grid::Coord>(p.get_int("side"));
-                cfg.k = static_cast<std::int32_t>(p.get_count("k", cfg.n()));
+                cfg.side = p.narrow<grid::Coord>("side", p.get_int("side"));
+                cfg.k = p.narrow<std::int32_t>("k", p.get_count("k", cfg.n()));
                 const double rc = graph::percolation_radius(cfg.n(), cfg.k);
                 cfg.radius =
                     static_cast<std::int64_t>(std::llround(p.get_double("rfrac") * rc));

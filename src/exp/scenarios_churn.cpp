@@ -27,9 +27,9 @@ SMN_REGISTER_SCENARIO(
         .run_rep =
             [](const ScenarioParams& p, std::uint64_t seed) {
                 models::ChurnConfig cfg;
-                cfg.side = static_cast<grid::Coord>(p.get_int("side"));
+                cfg.side = p.narrow<grid::Coord>("side", p.get_int("side"));
                 const std::int64_t n = std::int64_t{cfg.side} * cfg.side;
-                cfg.k = static_cast<std::int32_t>(p.get_count("k", n));
+                cfg.k = p.narrow<std::int32_t>("k", p.get_count("k", n));
                 cfg.churn_rate = p.get_double("rate");
                 cfg.reset_knowledge = p.get_int("reset") != 0;
                 cfg.seed = seed;

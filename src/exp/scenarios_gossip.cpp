@@ -23,8 +23,8 @@ SMN_REGISTER_SCENARIO(
         .run_rep =
             [](const ScenarioParams& p, std::uint64_t seed) {
                 core::EngineConfig cfg;
-                cfg.side = static_cast<grid::Coord>(p.get_int("side"));
-                cfg.k = static_cast<std::int32_t>(p.get_count("k", cfg.n()));
+                cfg.side = p.narrow<grid::Coord>("side", p.get_int("side"));
+                cfg.k = p.narrow<std::int32_t>("k", p.get_count("k", cfg.n()));
                 cfg.radius = 0;
                 cfg.seed = seed;
                 const auto cap = core::bounds::default_max_steps(cfg.n(), cfg.k);

@@ -34,8 +34,8 @@ SMN_REGISTER_SCENARIO(
         .run_rep =
             [](const ScenarioParams& p, std::uint64_t seed) {
                 core::EngineConfig cfg;
-                cfg.side = static_cast<grid::Coord>(p.get_int("side"));
-                cfg.k = static_cast<std::int32_t>(p.get_count("k", cfg.n()));
+                cfg.side = p.narrow<grid::Coord>("side", p.get_int("side"));
+                cfg.k = p.narrow<std::int32_t>("k", p.get_count("k", cfg.n()));
                 const auto& radius = p.get_string("radius");
                 cfg.radius = radius == "rc"
                                  ? std::llround(graph::percolation_radius(cfg.n(), cfg.k))

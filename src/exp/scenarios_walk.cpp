@@ -27,7 +27,7 @@ SMN_REGISTER_SCENARIO(
         .quick_sweep = "side=8,12;starts=corners",
         .run_rep =
             [](const ScenarioParams& p, std::uint64_t seed) {
-                const auto side = static_cast<grid::Coord>(p.get_int("side"));
+                const auto side = p.narrow<grid::Coord>("side", p.get_int("side"));
                 const auto g = grid::Grid2D::square(side);
                 const std::int64_t n = g.size();
                 const auto cap = static_cast<std::int64_t>(

@@ -1,10 +1,14 @@
 #include "graph/visibility.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <chrono>
 #include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "graph/range_filter.hpp"
 
@@ -36,6 +40,11 @@ template <grid::Metric M>
     }
 }
 
+/// Mirror of the forward footprint (E, SW, S, SE): a dirty bucket taints
+/// the units whose footprint contains it.
+constexpr std::array<std::pair<grid::Coord, grid::Coord>, 4> kTaintBack{
+    {{-1, 0}, {1, -1}, {0, -1}, {-1, -1}}};
+
 }  // namespace
 
 VisibilityGraphBuilder::VisibilityGraphBuilder(const grid::Grid2D& grid, std::int64_t radius,
@@ -46,21 +55,14 @@ VisibilityGraphBuilder::VisibilityGraphBuilder(const grid::Grid2D& grid, std::in
           std::min<std::int64_t>(radius, std::numeric_limits<grid::Coord>::max()))},
       metric_{metric},
       occupancy_{grid},
-      buckets_{spatial::BucketIndex::for_radius(grid, radius)},
-      threads_{util::step_threads()} {
+      buckets_{spatial::BucketIndex::for_radius(grid, radius)} {
     if (radius_ >= 1) {
-        // Forward half-neighborhood for this radius/bucket-side pair: with
-        // the for_radius sizing the reach is 1 (E, SW, S, SE), but any
-        // reach is supported.
-        const auto side = buckets_.bucket_side();
-        reach_ = static_cast<grid::Coord>((radius_ + side - 1) / side);
-        const auto reach = reach_;
-        for (grid::Coord dx = 1; dx <= reach; ++dx) scan_fwd_.emplace_back(dx, 0);
-        for (grid::Coord dy = 1; dy <= reach; ++dy) {
-            for (grid::Coord dx = -reach; dx <= reach; ++dx) scan_fwd_.emplace_back(dx, dy);
+        // Every in-range pair must lie in one bucket or two adjacent ones.
+        if (buckets_.bucket_side() < radius_) {
+            throw std::invalid_argument("VisibilityGraphBuilder: bucket side " +
+                                        std::to_string(buckets_.bucket_side()) +
+                                        " is smaller than radius " + std::to_string(radius_));
         }
-        for (const auto& [dx, dy] : scan_fwd_) taint_back_.emplace_back(-dx, -dy);
-
         const auto bx_count = buckets_.buckets_x();
         const auto by_count = buckets_.buckets_y();
         const auto bucket_count = static_cast<std::size_t>(std::int64_t{bx_count} * by_count);
@@ -122,22 +124,17 @@ void VisibilityGraphBuilder::component_pass(std::span<const grid::Point> positio
     // expansion makes nearly every footprint dirty anyway, so cache
     // maintenance can only cost. Build()s force a cached pass so the very
     // next step can already replay. The predicate reads only the
-    // deterministic dirty set — identical at any thread count.
+    // deterministic dirty set, and both branches emit the same unions.
     const bool bypass = !force_rescan &&
                         buckets_.dirty_buckets().size() * 2 >= buckets_.occupied_bucket_count();
     if (bypass) ++stats_.bypass_passes;
     if (!bypass && !force_rescan) expand_taint();
-    const bool sharded = threads_ > 1 && buckets_.occupied_bucket_count() > 1;
-    if (sharded) enumerate_units();  // shards need the unit list upfront
     if (timing_) {
         prep_seconds_ += std::chrono::duration<double>(clock::now() - prep_begin).count();
     }
     const bool dense = buckets_.occupied_bucket_count() * 2 >= entry_stamp_.size();
     const auto dispatch = [&]<grid::Metric M>() {
-        if (sharded) {
-            bypass ? sharded_pass<M, true>(positions, dsu, force_rescan)
-                   : sharded_pass<M, false>(positions, dsu, force_rescan);
-        } else if (dense && reach_ == 1) {
+        if (dense) {
             bypass ? row_window_pass<M, true>(positions, dsu, force_rescan)
                    : row_window_pass<M, false>(positions, dsu, force_rescan);
         } else {
@@ -157,16 +154,6 @@ void VisibilityGraphBuilder::component_pass(std::span<const grid::Point> positio
             break;
     }
     buckets_.end_step();  // the dirty epoch is consumed
-    if constexpr (obs::kEnabled) {
-        // Drain the per-worker pair tallies (each worker owned one scratch
-        // for the pass, and the pool has joined).
-        for (auto& scratch : scratch_) {
-            stats_.pairs_tested += scratch.pairs_tested;
-            stats_.pairs_survived += scratch.pairs_survived;
-            scratch.pairs_tested = 0;
-            scratch.pairs_survived = 0;
-        }
-    }
 }
 
 /// Expands the dirty bucket set into taint stamps: a dirty bucket
@@ -179,7 +166,7 @@ void VisibilityGraphBuilder::expand_taint() {
         const auto dx0 = static_cast<grid::Coord>(d % bx_count);
         const auto dy0 = static_cast<grid::Coord>(d / bx_count);
         taint_stamp_[static_cast<std::size_t>(d)] = seq_;
-        for (const auto& [dx, dy] : taint_back_) {
+        for (const auto& [dx, dy] : kTaintBack) {
             const auto nx = dx0 + dx;
             const auto ny = dy0 + dy;
             if (nx < 0 || nx >= bx_count || ny < 0 || ny >= by_count) continue;
@@ -188,78 +175,40 @@ void VisibilityGraphBuilder::expand_taint() {
     }
 }
 
-/// Fills units_ with the occupied buckets in row-major order: a full sweep
-/// in the dense regime (no sort), a sort of the occupied list when buckets
-/// far outnumber agents.
-void VisibilityGraphBuilder::enumerate_units() {
-    const auto bucket_count = entry_stamp_.size();
-    const auto occupied = buckets_.occupied_buckets();
-    units_.clear();
-    if (occupied.size() * 2 >= bucket_count) {
-        for (std::int64_t b = 0; b < static_cast<std::int64_t>(bucket_count); ++b) {
-            if (buckets_.bucket_occupied(b)) units_.push_back(b);
-        }
-    } else {
-        units_.assign(occupied.begin(), occupied.end());
-        std::sort(units_.begin(), units_.end());
-    }
-}
-
-void VisibilityGraphBuilder::prepare_scratch(std::size_t k, int count, bool mini) {
-    if (static_cast<int>(scratch_.size()) < count) {
-        scratch_.resize(static_cast<std::size_t>(count));
-    }
+void VisibilityGraphBuilder::prepare_scratch(std::size_t k, bool mini) {
     if (!mini) return;
-    for (int w = 0; w < count; ++w) {
-        scratch_[static_cast<std::size_t>(w)].parent.resize(k);
-        scratch_[static_cast<std::size_t>(w)].stamp.resize(k, 0);
-    }
+    scratch_.parent.resize(k);
+    scratch_.stamp.resize(k, 0);
 }
 
 /// The shared pair sink: with kFilter, deduplicate through the unit-local
-/// mini-DSU and keep only spanning survivors; route what remains to the
-/// edge buffer (`out`) and/or the shared DSU — whichever the calling pass
-/// wired up.
+/// mini-DSU and keep only spanning survivors; unite what remains into the
+/// DSU and, on the cached path, append it to the edge buffer (`out`).
 template <bool kFilter>
-void VisibilityGraphBuilder::record_pair(ScanScratch& scratch, std::int32_t a, std::int32_t b,
-                                         std::vector<CachedEdge>* out, DisjointSets* dsu) {
-    SMN_TALLY(++scratch.pairs_survived);
+void VisibilityGraphBuilder::record_pair(std::int32_t a, std::int32_t b,
+                                         std::vector<CachedEdge>* out, DisjointSets& dsu) {
+    SMN_TALLY(++stats_.pairs_survived);
     if constexpr (kFilter) {
-        const auto ra = mini_find(scratch, a);
-        const auto rb = mini_find(scratch, b);
+        const auto ra = mini_find(a);
+        const auto rb = mini_find(b);
         if (ra == rb) return;
-        scratch.parent[static_cast<std::size_t>(rb)] = ra;
+        scratch_.parent[static_cast<std::size_t>(rb)] = ra;
     }
     if (out != nullptr) out->push_back(CachedEdge{a, b});
-    if (dsu != nullptr) dsu->unite(a, b);
+    dsu.unite(a, b);
 }
 
-/// Commits `count` edges as bucket `bucket`'s cache entry in the current
-/// arena and unions them into `dsu` — the shared tail of every replay and
-/// of the sharded merge.
-void VisibilityGraphBuilder::commit_entry(std::size_t bucket, const CachedEdge* edges,
-                                          std::size_t count, DisjointSets& dsu) {
-    const auto cur = static_cast<std::size_t>(seq_ & 1);
-    auto& arena = arena_[cur];
-    entry_off_[cur][bucket] = static_cast<std::int32_t>(arena.size());
-    entry_len_[cur][bucket] = static_cast<std::int32_t>(count);
-    entry_stamp_[bucket] = seq_;
-    arena.insert(arena.end(), edges, edges + count);
-    for (std::size_t e = 0; e < count; ++e) dsu.unite(edges[e].a, edges[e].b);
-}
-
-std::int32_t VisibilityGraphBuilder::mini_find(ScanScratch& scratch,
-                                               std::int32_t x) const noexcept {
+std::int32_t VisibilityGraphBuilder::mini_find(std::int32_t x) noexcept {
     auto xi = static_cast<std::size_t>(x);
-    if (scratch.stamp[xi] != scratch.epoch) {
-        scratch.stamp[xi] = scratch.epoch;
-        scratch.parent[xi] = x;
+    if (scratch_.stamp[xi] != scratch_.epoch) {
+        scratch_.stamp[xi] = scratch_.epoch;
+        scratch_.parent[xi] = x;
         return x;
     }
     // Path halving; every node on the path was stamped when first linked.
-    while (scratch.parent[xi] != x) {
-        auto& p = scratch.parent[xi];
-        p = scratch.parent[static_cast<std::size_t>(p)];
+    while (scratch_.parent[xi] != x) {
+        auto& p = scratch_.parent[xi];
+        p = scratch_.parent[static_cast<std::size_t>(p)];
         x = p;
         xi = static_cast<std::size_t>(x);
     }
@@ -272,43 +221,41 @@ std::int32_t VisibilityGraphBuilder::mini_find(ScanScratch& scratch,
 /// at percolation-scale occupancy a list is 1–2 nodes, cheaper than any
 /// per-step re-materialization). With kFilter, in-range pairs go through
 /// the unit-local mini-DSU and only survivors reach `out` / `dsu` (the
-/// cached path); without it every in-range pair does (the bypass path).
-/// `out` is null on the serial bypass path, `dsu` on the sharded paths
-/// (workers cannot touch the shared DSU).
+/// cached path); without it every in-range pair does (the bypass path,
+/// where `out` is null).
 template <grid::Metric M, bool kFilter>
 void VisibilityGraphBuilder::scan_unit(std::int64_t bucket,
                                        std::span<const grid::Point> positions,
-                                       ScanScratch& scratch, std::vector<CachedEdge>* out,
-                                       DisjointSets* dsu) {
-    if constexpr (kFilter) ++scratch.epoch;
-    scratch.ids.clear();
-    scratch.xs.clear();
-    scratch.ys.clear();
+                                       std::vector<CachedEdge>* out, DisjointSets& dsu) {
+    if constexpr (kFilter) ++scratch_.epoch;
+    scratch_.ids.clear();
+    scratch_.xs.clear();
+    scratch_.ys.clear();
     buckets_.for_each_in_bucket(bucket, [&](std::int32_t a) {
         const auto p = positions[static_cast<std::size_t>(a)];
-        scratch.ids.push_back(a);
-        scratch.xs.push_back(p.x);
-        scratch.ys.push_back(p.y);
+        scratch_.ids.push_back(a);
+        scratch_.xs.push_back(p.x);
+        scratch_.ys.push_back(p.y);
     });
-    const auto len = scratch.ids.size();
+    const auto len = scratch_.ids.size();
     // Padding owed to the masked in-range kernel (range_filter.hpp).
-    scratch.xs.resize(len + kRangePad);
-    scratch.ys.resize(len + kRangePad);
+    scratch_.xs.resize(len + kRangePad);
+    scratch_.ys.resize(len + kRangePad);
 
     const auto found = [&](std::int32_t a, std::int32_t b) {
-        record_pair<kFilter>(scratch, a, b, out, dsu);
+        record_pair<kFilter>(a, b, out, dsu);
     };
 
     // Self pairs.
-    SMN_TALLY(scratch.pairs_tested +=
+    SMN_TALLY(stats_.pairs_tested +=
               len >= 2 ? static_cast<std::int64_t>(len) * (static_cast<std::int64_t>(len) - 1) / 2
                        : 0);
     for (std::size_t i = 0; i + 1 < len; ++i) {
-        const auto xi = scratch.xs[i];
-        const auto yi = scratch.ys[i];
+        const auto xi = scratch_.xs[i];
+        const auto yi = scratch_.ys[i];
         for (std::size_t j = i + 1; j < len; ++j) {
-            if (within_coords<M>(xi, yi, scratch.xs[j], scratch.ys[j], radius_)) {
-                found(scratch.ids[i], scratch.ids[j]);
+            if (within_coords<M>(xi, yi, scratch_.xs[j], scratch_.ys[j], radius_)) {
+                found(scratch_.ids[i], scratch_.ids[j]);
             }
         }
     }
@@ -318,69 +265,56 @@ void VisibilityGraphBuilder::scan_unit(std::int64_t bucket,
     /// iterated in ascending lane order (= the scalar scan order).
     const auto cross = [&](std::int64_t nb) {
         buckets_.for_each_in_bucket(nb, [&](std::int32_t b) {
-            SMN_TALLY(scratch.pairs_tested += static_cast<std::int64_t>(len));
+            SMN_TALLY(stats_.pairs_tested += static_cast<std::int64_t>(len));
             const auto p = positions[static_cast<std::size_t>(b)];
             for (std::size_t i = 0; i < len; i += kRangeLanes) {
-                auto bits = in_range_mask8<M>(scratch.xs.data() + i, scratch.ys.data() + i,
+                auto bits = in_range_mask8<M>(scratch_.xs.data() + i, scratch_.ys.data() + i,
                                               std::min(kRangeLanes, len - i), p.x, p.y, rad32_);
                 for (; bits != 0; bits &= bits - 1) {
                     const auto lane = static_cast<std::size_t>(std::countr_zero(bits));
-                    found(scratch.ids[i + lane], b);
+                    found(scratch_.ids[i + lane], b);
                 }
             }
         });
     };
 
-    if (reach_ == 1) {
-        // Unrolled E / SW / S / SE — the for_radius sizing's only shape;
-        // neighbor existence is static geometry (edge_flags_).
-        const auto flags = edge_flags_[static_cast<std::size_t>(bucket)];
-        if (flags & 2u) cross(bucket + 1);
-        if (flags & 4u) {
-            const auto south = bucket + buckets_.buckets_x();
-            if (flags & 1u) cross(south - 1);
-            cross(south);
-            if (flags & 2u) cross(south + 1);
-        }
-        return;
-    }
-    const auto bx_count = buckets_.buckets_x();
-    const auto by_count = buckets_.buckets_y();
-    const auto bx = static_cast<grid::Coord>(bucket % bx_count);
-    const auto by = static_cast<grid::Coord>(bucket / bx_count);
-    for (const auto& [dx, dy] : scan_fwd_) {
-        const auto nx = bx + dx;
-        const auto ny = by + dy;
-        if (nx < 0 || nx >= bx_count || ny >= by_count) continue;
-        cross(std::int64_t{ny} * bx_count + nx);
+    // E / SW / S / SE; neighbor existence is static geometry (edge_flags_).
+    const auto flags = edge_flags_[static_cast<std::size_t>(bucket)];
+    if (flags & 2u) cross(bucket + 1);
+    if (flags & 4u) {
+        const auto south = bucket + buckets_.buckets_x();
+        if (flags & 1u) cross(south - 1);
+        cross(south);
+        if (flags & 2u) cross(south + 1);
     }
 }
 
-/// The serial pass: walk the units in row-major order; replay clean units
-/// from the previous arena and rescan dirty ones (leaving fresh entries),
-/// or — with kBypass — rescan everything straight into the DSU with no
-/// cache interaction at all. Entry stamps going stale under bypass is what
-/// makes the next cached pass rescan everything once.
+/// The sparse per-unit pass: walk the occupied units in row-major order;
+/// replay clean units from the previous arena and rescan dirty ones
+/// (leaving fresh entries), or — with kBypass — rescan everything straight
+/// into the DSU with no cache interaction at all. Entry stamps going stale
+/// under bypass is what makes the next cached pass rescan everything once.
 template <grid::Metric M, bool kBypass>
 void VisibilityGraphBuilder::serial_pass(std::span<const grid::Point> positions,
                                          DisjointSets& dsu, bool force_rescan) {
-    prepare_scratch(positions.size(), 1, !kBypass);
-    auto& scratch = scratch_[0];
+    prepare_scratch(positions.size(), !kBypass);
     if constexpr (!kBypass) arena_[seq_ & 1].clear();
 
-    const auto process = [&](std::int64_t b) {
+    // Row-major unit order: the sorted occupied list (this pass only runs
+    // when buckets far outnumber occupied ones, so no full sweep).
+    const auto occupied = buckets_.occupied_buckets();
+    units_.assign(occupied.begin(), occupied.end());
+    std::sort(units_.begin(), units_.end());
+    for (const auto b : units_) {
         if constexpr (kBypass) {
             ++stats_.rescanned_units;
-            scan_unit<M, false>(b, positions, scratch, nullptr, &dsu);
-            return;
+            scan_unit<M, false>(b, positions, nullptr, dsu);
+        } else {
+            replay_or_rescan(b, force_rescan, dsu, [&](std::vector<CachedEdge>& arena_out) {
+                scan_unit<M, true>(b, positions, &arena_out, dsu);
+            });
         }
-        replay_or_rescan(b, force_rescan, dsu, [&](std::vector<CachedEdge>& arena_out) {
-            scan_unit<M, true>(b, positions, scratch, &arena_out, &dsu);
-        });
-    };
-
-    enumerate_units();
-    for (const auto b : units_) process(b);
+    }
 }
 
 /// Gathers one bucket row into `buf`: per-bucket slices in list order,
@@ -422,19 +356,18 @@ void VisibilityGraphBuilder::gather_row(grid::Coord row, std::span<const grid::P
 template <grid::Metric M, bool kFilter>
 void VisibilityGraphBuilder::scan_unit_window(const RowBuffer& self_row,
                                               const RowBuffer* south_row, grid::Coord bx,
-                                              ScanScratch& scratch,
-                                              std::vector<CachedEdge>* out, DisjointSets* dsu) {
-    if constexpr (kFilter) ++scratch.epoch;
+                                              std::vector<CachedEdge>* out, DisjointSets& dsu) {
+    if constexpr (kFilter) ++scratch_.epoch;
     const auto bx_count = buckets_.buckets_x();
     const auto off = static_cast<std::size_t>(self_row.off[static_cast<std::size_t>(bx)]);
     const auto end = static_cast<std::size_t>(self_row.off[static_cast<std::size_t>(bx) + 1]);
 
     const auto found = [&](std::int32_t a, std::int32_t b) {
-        record_pair<kFilter>(scratch, a, b, out, dsu);
+        record_pair<kFilter>(a, b, out, dsu);
     };
 
     // Self pairs.
-    SMN_TALLY(scratch.pairs_tested +=
+    SMN_TALLY(stats_.pairs_tested +=
               end - off >= 2 ? static_cast<std::int64_t>(end - off) *
                                    (static_cast<std::int64_t>(end - off) - 1) / 2
                              : 0);
@@ -451,12 +384,12 @@ void VisibilityGraphBuilder::scan_unit_window(const RowBuffer& self_row,
     /// Pairs the unit's slice against a contiguous range of a row buffer,
     /// neighbor-member outer — row buffers are bucket-ordered, so the
     /// merged SW|S|SE range enumerates members in exactly the order the
-    /// per-bucket cross calls of scan_unit do (thread invariance depends
-    /// on this). Both shapes run the masked in-range kernel
+    /// per-bucket cross calls of scan_unit do (the union sequence is
+    /// independent of the pass chosen). Both shapes run the masked in-range kernel
     /// (range_filter.hpp) and walk the survivor bits in ascending lane
     /// order, so the pair order matches the scalar loops they replaced.
     const auto cross_range = [&](const RowBuffer& row, std::size_t noff, std::size_t nend) {
-        SMN_TALLY(scratch.pairs_tested +=
+        SMN_TALLY(stats_.pairs_tested +=
                   static_cast<std::int64_t>(nend - noff) * static_cast<std::int64_t>(end - off));
         if (end - off == 1) {
             // Single-occupant unit (the most common bucket at percolation
@@ -505,13 +438,12 @@ void VisibilityGraphBuilder::scan_unit_window(const RowBuffer& self_row,
 }
 
 /// The dense serial pass as a rolling two-row window: row R+1 is gathered
-/// while row R's units are scanned, so the whole reach-1 footprint of
-/// every unit lives in two compact row buffers.
+/// while row R's units are scanned, so the whole footprint of every unit
+/// lives in two compact row buffers.
 template <grid::Metric M, bool kBypass>
 void VisibilityGraphBuilder::row_window_pass(std::span<const grid::Point> positions,
                                              DisjointSets& dsu, bool force_rescan) {
-    prepare_scratch(positions.size(), 1, !kBypass);
-    auto& scratch = scratch_[0];
+    prepare_scratch(positions.size(), !kBypass);
     if constexpr (!kBypass) arena_[seq_ & 1].clear();
 
     const auto bx_count = buckets_.buckets_x();
@@ -530,8 +462,8 @@ void VisibilityGraphBuilder::row_window_pass(std::span<const grid::Point> positi
             for (const auto bx : self_row.occ) {
                 replay_or_rescan(base + bx, force_rescan, dsu,
                                  [&](std::vector<CachedEdge>& arena_out) {
-                                     scan_unit_window<M, true>(self_row, south_row, bx, scratch,
-                                                               &arena_out, &dsu);
+                                     scan_unit_window<M, true>(self_row, south_row, bx,
+                                                               &arena_out, dsu);
                                  });
             }
         } else {
@@ -563,7 +495,7 @@ void VisibilityGraphBuilder::row_window_pass(std::span<const grid::Point> positi
                     const auto id = self_row.ids[o];
                     const auto sweep = [&](const RowBuffer& nrow, std::size_t j0,
                                            std::size_t j1) {
-                        SMN_TALLY(scratch.pairs_tested += static_cast<std::int64_t>(j1 - j0));
+                        SMN_TALLY(stats_.pairs_tested += static_cast<std::int64_t>(j1 - j0));
                         for (std::size_t j = j0; j < j1; j += kRangeLanes) {
                             const auto bits =
                                 in_range_mask8<M>(nrow.xs.data() + j, nrow.ys.data() + j,
@@ -590,7 +522,7 @@ void VisibilityGraphBuilder::row_window_pass(std::span<const grid::Point> positi
                     // Multi-occupant unit: scalar self pairs, then the
                     // neighbor-member-outer masked sweeps over the self
                     // slice — the general cross_range shape.
-                    SMN_TALLY(scratch.pairs_tested += static_cast<std::int64_t>(e - o) *
+                    SMN_TALLY(stats_.pairs_tested += static_cast<std::int64_t>(e - o) *
                                                       (static_cast<std::int64_t>(e - o) - 1) / 2);
                     for (std::size_t i = o; i + 1 < e; ++i) {
                         const auto xi = self_row.xs[i];
@@ -607,7 +539,7 @@ void VisibilityGraphBuilder::row_window_pass(std::span<const grid::Point> positi
                     }
                     const auto cross = [&](const RowBuffer& nrow, std::size_t j0,
                                            std::size_t j1) {
-                        SMN_TALLY(scratch.pairs_tested += static_cast<std::int64_t>(j1 - j0) *
+                        SMN_TALLY(stats_.pairs_tested += static_cast<std::int64_t>(j1 - j0) *
                                                           static_cast<std::int64_t>(e - o));
                         for (std::size_t j = j0; j < j1; ++j) {
                             const auto xj = nrow.xs[j];
@@ -642,7 +574,7 @@ void VisibilityGraphBuilder::row_window_pass(std::span<const grid::Point> positi
             // sweep's survivors splat the same id), so a's root is found
             // once per run and carried through unite_root — the same link
             // sequence unite() would produce, minus the repeated finds.
-            SMN_TALLY(scratch.pairs_survived += static_cast<std::int64_t>(np));
+            SMN_TALLY(stats_.pairs_survived += static_cast<std::int64_t>(np));
             std::int32_t last_a = -1;
             std::int32_t root_a = -1;
             for (std::size_t i = 0; i < np; ++i) {
@@ -656,87 +588,6 @@ void VisibilityGraphBuilder::row_window_pass(std::span<const grid::Point> positi
         }
     }
     if constexpr (kBypass) stats_.rescanned_units += units;
-}
-
-/// The sharded pass: units_ is partitioned into contiguous row-major
-/// ranges; workers enumerate pairs into per-shard buffers (replaying units
-/// are just marked), then a single merge walks the shards in order
-/// committing entries and unions — the union sequence, and so the DSU
-/// state, matches the serial path exactly.
-template <grid::Metric M, bool kBypass>
-void VisibilityGraphBuilder::sharded_pass(std::span<const grid::Point> positions,
-                                          DisjointSets& dsu, bool force_rescan) {
-    prepare_scratch(positions.size(), threads_, !kBypass);
-    const auto cur = static_cast<std::size_t>(seq_ & 1);
-    const auto prev = cur ^ 1;
-    auto& arena = arena_[cur];
-    if constexpr (!kBypass) arena.clear();
-
-    // Contiguous ranges of roughly equal unit count; work stealing evens
-    // out occupancy imbalance across ~4 shards per worker.
-    const auto unit_count = static_cast<std::int32_t>(units_.size());
-    const auto per_shard =
-        std::max<std::int32_t>(1, unit_count / static_cast<std::int32_t>(threads_ * 4));
-    shards_.clear();
-    for (std::int32_t begin = 0; begin < unit_count; begin += per_shard) {
-        shards_.emplace_back(begin, std::min(unit_count, begin + per_shard));
-    }
-    const auto shard_count = static_cast<int>(shards_.size());
-    if (static_cast<int>(shard_out_.size()) < shard_count) {
-        shard_out_.resize(static_cast<std::size_t>(shard_count));
-    }
-    if (pool_ == nullptr) pool_ = std::make_unique<util::WorkerPool>(threads_);
-
-    pool_->run(shard_count, [&](int s, int worker) {
-        auto& out = shard_out_[static_cast<std::size_t>(s)];
-        out.edges.clear();
-        out.counts.clear();
-        auto& scratch = scratch_[static_cast<std::size_t>(worker)];
-        const auto [lo, hi] = shards_[static_cast<std::size_t>(s)];
-        for (std::int32_t i = lo; i < hi; ++i) {
-            const auto b = units_[static_cast<std::size_t>(i)];
-            if constexpr (kBypass) {
-                scan_unit<M, false>(b, positions, scratch, &out.edges, nullptr);
-            } else if (replayable(b, force_rescan)) {
-                out.counts.push_back(-1);
-            } else {
-                const auto start = out.edges.size();
-                scan_unit<M, true>(b, positions, scratch, &out.edges, nullptr);
-                out.counts.push_back(static_cast<std::int32_t>(out.edges.size() - start));
-            }
-        }
-    });
-
-    if constexpr (kBypass) {
-        stats_.rescanned_units += unit_count;
-        for (int s = 0; s < shard_count; ++s) {
-            for (const auto& e : shard_out_[static_cast<std::size_t>(s)].edges) {
-                dsu.unite(e.a, e.b);
-            }
-        }
-        return;
-    }
-    for (int s = 0; s < shard_count; ++s) {
-        const auto& out = shard_out_[static_cast<std::size_t>(s)];
-        const auto [lo, hi] = shards_[static_cast<std::size_t>(s)];
-        std::size_t pos = 0;
-        for (std::int32_t i = lo; i < hi; ++i) {
-            const auto b = units_[static_cast<std::size_t>(i)];
-            const auto bi = static_cast<std::size_t>(b);
-            const auto count = out.counts[static_cast<std::size_t>(i - lo)];
-            if (count < 0) {
-                ++stats_.replayed_units;
-                SMN_TALLY(stats_.edges_replayed += entry_len_[prev][bi]);
-                commit_entry(bi, arena_[prev].data() + entry_off_[prev][bi],
-                             static_cast<std::size_t>(entry_len_[prev][bi]), dsu);
-            } else {
-                ++stats_.rescanned_units;
-                SMN_TALLY(stats_.edges_cached += count);
-                commit_entry(bi, out.edges.data() + pos, static_cast<std::size_t>(count), dsu);
-                pos += static_cast<std::size_t>(count);
-            }
-        }
-    }
 }
 
 void VisibilityGraphBuilder::build_naive(std::span<const grid::Point> positions,

@@ -29,12 +29,10 @@
 // because replay could save nothing; the switch depends only on the
 // (deterministic) dirty set, so trajectories are unaffected.
 //
-// The scan can be sharded across an in-process worker pool
-// (SMN_STEP_THREADS, default 1): units are partitioned into contiguous
-// row-major shards, workers enumerate pairs into per-shard edge buffers,
-// and a single merge walks the shards in fixed row order performing the
-// unions — the DSU sees the same union sequence at any thread count, so
-// every trajectory is bit-identical (enforced by determinism tests).
+// The pass is serial: one thread per replication. Paper sweeps are
+// many-replication work, and sim::ReplicationPool fills the cores with
+// replications, so the component pass keeps a single execution mode and
+// a single union sequence.
 //
 // Two usage protocols:
 //  * build() — one-shot: (re)index the positions and compute components.
@@ -55,9 +53,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "graph/dsu.hpp"
@@ -66,13 +62,12 @@
 #include "obs/tally.hpp"
 #include "spatial/bucket_index.hpp"
 #include "spatial/occupancy.hpp"
-#include "util/worker_pool.hpp"
 
 namespace smn::graph {
 
 /// Builds connected components of G_t(r) into `dsu` (which is reset).
-/// Reusable across steps: keeps its spatial structures, edge cache and
-/// worker pool allocated.
+/// Reusable across steps: keeps its spatial structures and edge cache
+/// allocated.
 class VisibilityGraphBuilder {
 public:
     /// Cumulative scan telemetry. The unit- and pass-level counts are
@@ -92,8 +87,9 @@ public:
     };
 
     /// `radius` is the transmission radius r >= 0; `metric` defaults to the
-    /// paper's Manhattan metric. The intra-step thread count is read from
-    /// SMN_STEP_THREADS here (util::step_threads()).
+    /// paper's Manhattan metric. Throws std::invalid_argument when the
+    /// bucket index cannot be sized to a side >= r (the scan only pairs
+    /// adjacent buckets).
     VisibilityGraphBuilder(const grid::Grid2D& grid, std::int64_t radius,
                            grid::Metric metric = grid::Metric::kManhattan);
 
@@ -126,9 +122,6 @@ public:
 
     [[nodiscard]] std::int64_t radius() const noexcept { return radius_; }
     [[nodiscard]] grid::Metric metric() const noexcept { return metric_; }
-
-    /// Intra-step scan threads in use (SMN_STEP_THREADS at construction).
-    [[nodiscard]] int scan_threads() const noexcept { return threads_; }
 
     /// Enables wall-clock attribution of the rebuild's index-prep portion
     /// (unit enumeration + taint expansion); read it via prep_seconds().
@@ -170,9 +163,9 @@ private:
         std::int32_t b;
     };
 
-    /// Per-worker scratch: the gathered slice of the unit's own bucket
-    /// plus an epoch-stamped mini-DSU over agent ids (local to one scan
-    /// unit at a time; only used on the cached path).
+    /// Scan scratch: the gathered slice of the unit's own bucket plus an
+    /// epoch-stamped mini-DSU over agent ids (local to one scan unit at a
+    /// time; only used on the cached path).
     struct ScanScratch {
         std::vector<std::int32_t> ids;
         std::vector<grid::Coord> xs;
@@ -180,22 +173,11 @@ private:
         std::vector<std::int32_t> parent;
         std::vector<std::uint64_t> stamp;
         std::uint64_t epoch{0};
-        // Per-worker pair tallies, drained into stats_ after each pass
-        // (plain fields: each worker owns one scratch for the pass).
-        std::int64_t pairs_tested{0};
-        std::int64_t pairs_survived{0};
-    };
-
-    /// Per-shard rescan output: surviving edges plus one count per bucket
-    /// in the shard's range (-1 = replay from the previous arena).
-    struct ShardOutput {
-        std::vector<CachedEdge> edges;
-        std::vector<std::int32_t> counts;
     };
 
     /// One gathered row of buckets for the rolling-window serial scan:
     /// per-bucket slices (off[bx]..off[bx+1]) of ids and coordinates, in
-    /// list order. Two of these cover a unit's whole reach-1 footprint and
+    /// list order. Two of these cover a unit's whole footprint and
     /// stay L1-resident, so each agent's position is loaded from the
     /// random-access positions array exactly once per step.
     struct RowBuffer {
@@ -218,47 +200,43 @@ private:
     void gather_row(grid::Coord row, std::span<const grid::Point> positions, RowBuffer& buf);
     template <grid::Metric M, bool kFilter>
     void scan_unit_window(const RowBuffer& self_row, const RowBuffer* south_row,
-                          grid::Coord bx, ScanScratch& scratch, std::vector<CachedEdge>* out,
-                          DisjointSets* dsu);
-    template <grid::Metric M, bool kBypass>
-    void sharded_pass(std::span<const grid::Point> positions, DisjointSets& dsu,
-                      bool force_rescan);
+                          grid::Coord bx, std::vector<CachedEdge>* out, DisjointSets& dsu);
     template <grid::Metric M, bool kFilter>
     void scan_unit(std::int64_t bucket, std::span<const grid::Point> positions,
-                   ScanScratch& scratch, std::vector<CachedEdge>* out, DisjointSets* dsu);
-    void enumerate_units();
-    void prepare_scratch(std::size_t k, int count, bool mini);
+                   std::vector<CachedEdge>* out, DisjointSets& dsu);
+    void prepare_scratch(std::size_t k, bool mini);
     template <bool kFilter>
-    void record_pair(ScanScratch& scratch, std::int32_t a, std::int32_t b,
-                     std::vector<CachedEdge>* out, DisjointSets* dsu);
-    void commit_entry(std::size_t bucket, const CachedEdge* edges, std::size_t count,
-                      DisjointSets& dsu);
+    void record_pair(std::int32_t a, std::int32_t b, std::vector<CachedEdge>* out,
+                     DisjointSets& dsu);
 
     /// The shared replay-or-rescan step of the cached serial passes:
-    /// replay `bucket`'s previous entry if its footprint is clean, else
-    /// run `rescan(arena)` (which must append the unit's surviving edges
-    /// to the passed arena) and commit the fresh entry around it. All
-    /// entry bookkeeping lives here so the passes cannot diverge.
+    /// replay `bucket`'s previous entry into the current arena and `dsu`
+    /// if its footprint is clean, else run `rescan(arena)` (which must
+    /// append the unit's surviving edges to the passed arena and unite
+    /// them). All entry bookkeeping lives here so the passes cannot
+    /// diverge.
     template <typename Rescan>
     void replay_or_rescan(std::int64_t bucket, bool force_rescan, DisjointSets& dsu,
                           Rescan&& rescan) {
         const auto bi = static_cast<std::size_t>(bucket);
         const auto cur = static_cast<std::size_t>(seq_ & 1);
-        if (replayable(bucket, force_rescan)) {
-            ++stats_.replayed_units;
-            const auto prev = cur ^ 1;
-            SMN_TALLY(stats_.edges_replayed += entry_len_[prev][bi]);
-            commit_entry(bi, arena_[prev].data() + entry_off_[prev][bi],
-                         static_cast<std::size_t>(entry_len_[prev][bi]), dsu);
-            return;
-        }
-        ++stats_.rescanned_units;
         auto& arena = arena_[cur];
         const auto start = arena.size();
         entry_off_[cur][bi] = static_cast<std::int32_t>(start);
-        rescan(arena);
+        if (replayable(bucket, force_rescan)) {
+            ++stats_.replayed_units;
+            const auto prev = cur ^ 1;
+            const auto* edges = arena_[prev].data() + entry_off_[prev][bi];
+            const auto count = static_cast<std::size_t>(entry_len_[prev][bi]);
+            SMN_TALLY(stats_.edges_replayed += static_cast<std::int64_t>(count));
+            arena.insert(arena.end(), edges, edges + count);
+            for (std::size_t e = 0; e < count; ++e) dsu.unite(edges[e].a, edges[e].b);
+        } else {
+            ++stats_.rescanned_units;
+            rescan(arena);
+            SMN_TALLY(stats_.edges_cached += static_cast<std::int64_t>(arena.size() - start));
+        }
         entry_len_[cur][bi] = static_cast<std::int32_t>(arena.size() - start);
-        SMN_TALLY(stats_.edges_cached += entry_len_[cur][bi]);
         entry_stamp_[bi] = seq_;
     }
     [[nodiscard]] bool replayable(std::int64_t bucket, bool force_rescan) const noexcept {
@@ -266,7 +244,7 @@ private:
                entry_stamp_[static_cast<std::size_t>(bucket)] == seq_ - 1 &&
                taint_stamp_[static_cast<std::size_t>(bucket)] != seq_;
     }
-    [[nodiscard]] std::int32_t mini_find(ScanScratch& scratch, std::int32_t x) const noexcept;
+    [[nodiscard]] std::int32_t mini_find(std::int32_t x) noexcept;
 
     grid::Grid2D grid_;
     std::int64_t radius_;
@@ -275,13 +253,8 @@ private:
     spatial::OccupancyMap occupancy_;  ///< used when radius == 0
     spatial::BucketIndex buckets_;     ///< used when radius >= 1
 
-    // Scan geometry: forward half-neighborhood offsets (scanned) and their
-    // mirror (tainted by a dirty bucket), precomputed for the builder's
-    // radius; the reach-1 case (E, SW, S, SE) takes an unrolled path with
-    // per-bucket boundary flags, which are static geometry.
-    grid::Coord reach_{1};
-    std::vector<std::pair<grid::Coord, grid::Coord>> scan_fwd_;
-    std::vector<std::pair<grid::Coord, grid::Coord>> taint_back_;
+    // Scan geometry: bucket side >= r, so a unit's footprint is its bucket
+    // plus E, SW, S, SE; the per-bucket boundary flags are static geometry.
     std::vector<std::uint8_t> edge_flags_;  ///< bucket -> W/E/S-neighbor existence
 
     // Spanning-edge cache: double-buffered arena + per-bucket entries.
@@ -292,16 +265,11 @@ private:
     std::vector<std::uint64_t> taint_stamp_;  ///< bucket -> seq of last taint
     std::uint64_t seq_{0};                    ///< rebuild sequence number
 
-    // Sharded scan (SMN_STEP_THREADS > 1).
-    int threads_{1};
-    std::unique_ptr<util::WorkerPool> pool_;
     std::vector<std::int64_t> units_;   ///< occupied buckets, row-major order
     RowBuffer rows_[2];                 ///< rolling window of the serial scan
     std::vector<std::int32_t> pair_a_;  ///< bypass pair staging, first ids
     std::vector<std::int32_t> pair_b_;  ///< bypass pair staging, second ids
-    std::vector<ScanScratch> scratch_;  ///< per worker (index 0 on the serial path)
-    std::vector<ShardOutput> shard_out_;                         ///< per shard
-    std::vector<std::pair<std::int32_t, std::int32_t>> shards_;  ///< [begin,end) in units_
+    ScanScratch scratch_;
 
     bool timing_{false};
     double prep_seconds_{0.0};

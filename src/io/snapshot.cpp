@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string_view>
 #include <type_traits>
 #include <vector>
@@ -57,14 +58,22 @@ struct Writer {
 };
 
 // ---- little-endian buffer reader ------------------------------------------
+//
+// Reads are bounded by `end`, the end of the CRC-protected body, so a
+// short payload can never read into the checksum trailer.
 
 struct Reader {
     const std::string& path;
     const std::vector<std::uint8_t>& bytes;
+    std::size_t end;
     std::size_t pos{0};
 
     void need(std::size_t n) const {
-        if (bytes.size() - pos < n) fail(path, "truncated (unexpected end of data)");
+        if (end - pos < n) fail(path, "truncated (unexpected end of data)");
+    }
+    /// Fails unless the payload was consumed exactly.
+    void finish() const {
+        if (pos != end) fail(path, "trailing bytes after the payload (corrupt payload)");
     }
     void raw(void* out, std::size_t n) {
         need(n);
@@ -150,7 +159,11 @@ core::EngineConfig get_config(Reader& r) {
     c.source = r.i32();
     c.seed = r.u64();
     if (c.k < 1 || c.k > (1 << 26)) fail(r.path, "implausible agent count (corrupt payload)");
-    return c;
+    try {
+        return core::validate_config(c);
+    } catch (const std::invalid_argument& err) {
+        fail(r.path, err.what());
+    }
 }
 
 void put_common(Writer& w, const core::EngineConfig& config,
@@ -247,9 +260,7 @@ Reader open_verified(const std::string& path, const std::vector<std::uint8_t>& b
     if (crc32(bytes.data(), body) != stored) {
         fail(path, "checksum mismatch (file is corrupt or truncated)");
     }
-    Reader r{path, bytes};
-    (void)body;
-    return r;
+    return Reader{path, bytes, body};
 }
 
 }  // namespace
@@ -320,6 +331,7 @@ core::BroadcastState load_broadcast_snapshot(const std::string& path) {
     for (auto& flag : state.informed) flag = r.u8();
     state.informed_time.resize(k);
     for (auto& time : state.informed_time) time = r.i64();
+    r.finish();
     return state;
 }
 
@@ -347,6 +359,7 @@ core::GossipState load_gossip_snapshot(const std::string& path) {
     for (auto& word : state.rumor_bits) word = r.u64();
     state.rumor_complete_time.resize(k);
     for (auto& time : state.rumor_complete_time) time = r.i64();
+    r.finish();
     return state;
 }
 

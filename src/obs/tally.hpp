@@ -3,10 +3,10 @@
 // Hot-path instrumentation goes through SMN_TALLY so a single CMake switch
 // (-DSMN_DISABLE_OBS=ON, cmake/Obs.cmake) compiles every increment out of
 // the step loop. The expression form means any plain-field bump — a
-// per-object tally, a per-worker scratch counter — vanishes entirely:
+// per-object tally, a per-pass counter — vanishes entirely:
 //
 //   SMN_TALLY(++stats_.moves);
-//   SMN_TALLY(scratch.pairs_tested += len);
+//   SMN_TALLY(stats_.pairs_tested += len);
 //
 // The tallied *fields* stay declared either way (readers compile in both
 // configurations; they just read zeros when disabled), and anything that

@@ -98,11 +98,6 @@ public:
         return occupied_;
     }
 
-    /// True iff `bucket` currently holds at least one agent.
-    [[nodiscard]] bool bucket_occupied(std::int64_t bucket) const noexcept {
-        return head_[static_cast<std::size_t>(bucket)] != -1;
-    }
-
     [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
     /// Calls `fn(agent_id)` for every agent currently linked into `bucket`.

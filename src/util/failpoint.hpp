@@ -121,6 +121,7 @@ private:
     using Table = std::map<std::string, Site, std::less<>>;
 
     FailPoints() {
+        // smn-lint: allow(env-knob) fault injection for tests and crash drills, off when unset
         const char* env = std::getenv("SMN_FAILPOINTS");
         if (env != nullptr && *env != '\0') configure(env);
     }

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/bounds.hpp"
 #include "core/broadcast.hpp"
 #include "core/engine.hpp"
+#include "core/gossip.hpp"
 #include "core/observers.hpp"
 #include "core/rumor.hpp"
 #include "rng/rng.hpp"
@@ -131,6 +134,35 @@ TEST(Engine, RejectsBadConfigs) {
     cfg = {};
     cfg.source = 99;
     EXPECT_THROW(BroadcastProcess{cfg}, std::invalid_argument);
+}
+
+// An undeclared metric, walk or mobility value matches no dispatch case
+// (a metric of 7 used to run with no edges at all); both processes refuse
+// it, fresh and restored.
+TEST(Engine, RejectsUndeclaredEnumerators) {
+    EngineConfig base;
+    base.side = 16;
+    base.k = 8;
+    base.radius = 1;
+    const auto corrupt = [](EngineConfig& cfg, int field) {
+        if (field == 0) cfg.metric = static_cast<grid::Metric>(7);
+        if (field == 1) cfg.walk = static_cast<walk::WalkKind>(7);
+        if (field == 2) cfg.mobility = static_cast<Mobility>(7);
+    };
+    for (int field = 0; field < 3; ++field) {
+        SCOPED_TRACE("field " + std::to_string(field));
+        auto cfg = base;
+        corrupt(cfg, field);
+        EXPECT_THROW(BroadcastProcess{cfg}, std::invalid_argument);
+        EXPECT_THROW(GossipProcess{cfg}, std::invalid_argument);
+
+        auto broadcast = BroadcastProcess{base}.capture();
+        corrupt(broadcast.config, field);
+        EXPECT_THROW(BroadcastProcess{broadcast}, std::invalid_argument);
+        auto gossip = GossipProcess{base}.capture();
+        corrupt(gossip.config, field);
+        EXPECT_THROW(GossipProcess{gossip}, std::invalid_argument);
+    }
 }
 
 TEST(Engine, SingleAgentCompletesImmediately) {

@@ -15,7 +15,9 @@
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -353,6 +355,37 @@ TEST(ScenarioParams, CountExpressions) {
     EXPECT_EQ(bound.get_count("k", 576), 24);
 }
 
+TEST(ScenarioParams, NarrowRejectsValuesOutsideTheTargetType) {
+    EXPECT_EQ(exp::ScenarioParams::narrow<std::int32_t>("k", 2147483647), 2147483647);
+    try {
+        (void)exp::ScenarioParams::narrow<std::int32_t>("k", 4294967298);
+        FAIL() << "4294967298 narrowed to int32";
+    } catch (const std::invalid_argument& err) {
+        EXPECT_NE(std::string{err.what()}.find("'k'"), std::string::npos) << err.what();
+    }
+}
+
+// Scenario integers feed 32-bit engine fields; a sweep value past 2^32
+// must fail its unit with the param's name, not wrap to a small value
+// (k = 2^32 + 2 used to run as k = 2, side = 2^32 + 8 as side = 8).
+TEST(BuiltinScenarios, IntegerParamsOutOfRangeFailTheUnit) {
+    exp::register_builtin_scenarios();
+    const auto& scenario = exp::ScenarioRegistry::instance().at("grid_broadcast");
+    exp::RunOptions options;
+    options.reps = 1;
+    options.threads = 1;
+    options.tolerate_failures = true;
+    for (const auto& [sweep, param] :
+         {std::pair<std::string, std::string>{"side=8;k=4294967298", "'k'"},
+          std::pair<std::string, std::string>{"side=4294967304;k=2", "'side'"}}) {
+        const auto results = exp::run_sweep(scenario, exp::SweepSpec::parse(sweep), options);
+        ASSERT_EQ(results.size(), 1U) << sweep;
+        ASSERT_EQ(results[0].failures.size(), 1U) << sweep;
+        EXPECT_NE(results[0].failures[0].message.find(param), std::string::npos)
+            << sweep << ": " << results[0].failures[0].message;
+    }
+}
+
 TEST(Registry, BuiltinScenariosArePresent) {
     exp::register_builtin_scenarios();
     const auto& registry = exp::ScenarioRegistry::instance();
@@ -617,7 +650,6 @@ TEST(JsonlWriter, CountersAreOptInAndDivertedFromObsMetrics) {
 TEST(Writer, ProvenanceRecordCarriesBuildAndRunContext) {
     exp::RunProvenance run;
     run.threads = 4;
-    run.step_threads = 2;
     run.seed = 77;
     run.reps = 3;
     std::ostringstream os;
@@ -628,7 +660,6 @@ TEST(Writer, ProvenanceRecordCarriesBuildAndRunContext) {
     EXPECT_FALSE(record.at("git_sha").str().empty());
     EXPECT_FALSE(record.at("simd").str().empty());
     EXPECT_EQ(record.at("threads").number(), 4.0);
-    EXPECT_EQ(record.at("step_threads").number(), 2.0);
     EXPECT_EQ(record.at("seed").number(), 77.0);
     EXPECT_EQ(record.at("reps").number(), 3.0);
 }

@@ -60,6 +60,7 @@ class PlantedViolations(unittest.TestCase):
         self.assertIn("src/low/clock.hpp:9: [wall-clock]", out)
         self.assertIn("src/low/ptrkey.hpp:8: [pointer-keyed]", out)
         self.assertIn("src/low/floatacc.hpp:10: [float-accumulate]", out)
+        self.assertIn("src/low/envknob.hpp:9: [env-knob]", out)
         # #include lines themselves are not findings.
         self.assertNotIn("unordered.hpp:4:", out)
 

@@ -9,8 +9,9 @@ Four project-specific passes plus curated clang-tidy wiring:
   determinism   flags source-level nondeterminism: unordered-container
                 use, raw entropy (rand/random_device/mt19937/time-seeds)
                 outside src/rng/, wall clocks in deterministic modules,
-                pointer-keyed ordered containers, and unordered
-                floating-point reduction constructs.
+                pointer-keyed ordered containers, unordered
+                floating-point reduction constructs, and unannotated
+                environment-variable reads (std::getenv).
   headers       compiles every public header in src/ as its own
                 translation unit (-fsyntax-only), so a missing include
                 cannot hide behind inclusion order elsewhere.
@@ -112,7 +113,16 @@ RULES = [
         ),
         "deterministic",
         "unordered floating-point accumulation is not associative; reduce "
-        "in a fixed (shard-index) order as the sharded scan does",
+        "in a fixed (index) order, as the replication pool's index-addressed "
+        "result slots do",
+    ),
+    Rule(
+        "env-knob",
+        re.compile(r"\bgetenv\s*\("),
+        "src",
+        "an environment variable is a hidden, process-wide knob that no "
+        "config, record or provenance carries; every env read in src/ must "
+        "be justified with an allow (what it sets and why it is not a flag)",
     ),
 ]
 RULE_NAMES = {r.name for r in RULES}
