@@ -1,14 +1,11 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
 
-#include "graph/visibility.hpp"
-#include "obs/registry.hpp"
 
 namespace smn::core {
 
@@ -28,28 +25,18 @@ EngineConfig validate_config(EngineConfig config) {
     }
     // Enumerators arrive unchecked from snapshots; an undeclared one would
     // match no case of the metric, walk or mobility dispatch.
-    if (config.metric > grid::Metric::kEuclidean) {
-        throw std::invalid_argument("EngineConfig: unknown metric " +
-                                    std::to_string(static_cast<int>(config.metric)));
-    }
-    if (config.walk > walk::WalkKind::kLazyHalf) {
-        throw std::invalid_argument("EngineConfig: unknown walk " +
-                                    std::to_string(static_cast<int>(config.walk)));
-    }
-    if (config.mobility > Mobility::kInformedOnly) {
-        throw std::invalid_argument("EngineConfig: unknown mobility " +
-                                    std::to_string(static_cast<int>(config.mobility)));
-    }
+    const auto declared = [](auto value, auto last, const char* what) {
+        if (value <= last) return;
+        throw std::invalid_argument(std::string{"EngineConfig: unknown "} + what + " " +
+                                    std::to_string(static_cast<int>(value)));
+    };
+    declared(config.metric, grid::Metric::kEuclidean, "metric");
+    declared(config.walk, walk::WalkKind::kLazyHalf, "walk");
+    declared(config.mobility, Mobility::kInformedOnly, "mobility");
     return config;
 }
 
 namespace {
-
-rng::Rng make_rng(const EngineConfig& config) { return rng::Rng{config.seed}; }
-
-walk::AgentEnsemble make_agents(const EngineConfig& config, rng::Rng& rng) {
-    return walk::AgentEnsemble{grid::Grid2D::square(config.side), config.k, rng, config.walk};
-}
 
 /// ⌊√v⌋ for v >= 0, exact: the double estimate is corrected in integers.
 std::int64_t isqrt(std::int64_t v) noexcept {
@@ -109,240 +96,37 @@ std::int64_t min_cross_key(std::span<const grid::Point> positions,
     return best;
 }
 
-const BroadcastState& validate(const BroadcastState& state) {
-    (void)validate_config(state.config);
-    const auto k = static_cast<std::size_t>(state.config.k);
-    if (state.positions.size() != k || state.informed.size() != k ||
-        state.informed_time.size() != k) {
-        throw std::invalid_argument("BroadcastState: vector sizes disagree with k");
-    }
-    if (state.t < 0) throw std::invalid_argument("BroadcastState: t must be >= 0");
-    return state;
-}
-
 }  // namespace
 
 BroadcastProcess::BroadcastProcess(const EngineConfig& config)
-    : config_{validate_config(config)},
-      rng_{make_rng(config_)},
-      agents_{make_agents(config_, rng_)},
-      builder_{agents_.grid(), config_.radius, config_.metric},
-      dsu_{static_cast<std::size_t>(config_.k)},
+    : StepLoop{config},
       rumor_{config_.k, config_.source},
-      root_informed_(static_cast<std::size_t>(config_.k), 0),
-      move_mask_(static_cast<std::size_t>(config_.k), 0) {
-    // Initial exchange at t = 0: the rumor floods the source's component
-    // of G_0(r) before anyone moves.
-    builder_.build(agents_.positions(), dsu_);
-    exchange();
-    notify();
-    // One-shot trace arming (smn_lab --trace): the first engine built
-    // after obs::arm_trace claims the sink. Purely observational — the
-    // only engine-side effect is phase timing, which touches no state the
-    // trajectories depend on.
-    set_trace(obs::claim_trace());
+      root_informed_(static_cast<std::size_t>(config_.k), 0) {
+    start(/*fresh=*/true);
 }
 
 BroadcastProcess::BroadcastProcess(const BroadcastState& state)
-    : config_{validate(state).config},
-      rng_{rng::Xoshiro256StarStar{state.rng_state}},
-      agents_{grid::Grid2D::square(config_.side), state.positions, config_.walk},
-      builder_{agents_.grid(), config_.radius, config_.metric},
-      dsu_{static_cast<std::size_t>(config_.k)},
+    : StepLoop{state.config, state.rng_state, state.positions, state.t},
       rumor_{state.informed, state.informed_time},
-      t_{state.t},
-      root_informed_(static_cast<std::size_t>(config_.k), 0),
-      move_mask_(static_cast<std::size_t>(config_.k), 0) {
-    // No t = 0 exchange: the captured state is post-exchange of step t.
-    // Rebuilding the index gives the partition of the captured positions;
-    // representatives may differ from the original run's incremental
-    // build, but the exchange rule only reads the partition, so
-    // trajectories cannot diverge.
-    builder_.build(agents_.positions(), dsu_);
-    set_trace(obs::claim_trace());
+      root_informed_(static_cast<std::size_t>(config_.k), 0) {
+    if (rumor_.agent_count() != config_.k) {
+        throw std::invalid_argument("BroadcastState: vector sizes disagree with k");
+    }
+    const auto times = rumor_.times();
+    for (std::int32_t a = 0; a < config_.k; ++a) {
+        check_event_time(times[static_cast<std::size_t>(a)], rumor_.is_informed(a), t_,
+                         "BroadcastState: informed time");
+    }
+    start(/*fresh=*/false);
 }
 
 BroadcastState BroadcastProcess::capture() const {
-    BroadcastState state;
-    state.config = config_;
-    state.rng_state = rng_.engine().state();
-    const auto positions = agents_.positions();
-    state.positions.assign(positions.begin(), positions.end());
+    auto state = capture_loop<BroadcastState>();
     const auto flags = rumor_.flags();
     state.informed.assign(flags.begin(), flags.end());
     const auto times = rumor_.times();
     state.informed_time.assign(times.begin(), times.end());
-    state.t = t_;
     return state;
-}
-
-BroadcastProcess::~BroadcastProcess() {
-#if SMN_OBS_ENABLED
-    // Moved-from shells keep their (trivially copyable) tally totals;
-    // flushing them too would double-count. A move empties the ensemble's
-    // vectors, so count() == 0 identifies a shell.
-    if (agents_.count() == 0) return;
-    auto& registry = obs::Registry::instance();
-    for (const auto& [name, value] : counters()) {
-        registry.counter(std::string{"engine."} + name)
-            .add(static_cast<std::int64_t>(value));
-    }
-#endif
-}
-
-std::vector<std::pair<const char*, double>> BroadcastProcess::counters() const {
-    const auto& scan = builder_.scan_stats();
-    const auto& index = builder_.index_stats();
-    const auto& dsu = dsu_.stats();
-    const auto& walk = agents_.decode_stats();
-    const auto d = [](std::int64_t v) { return static_cast<double>(v); };
-    return {
-        {"scan.passes", d(scan.passes)},
-        {"scan.bypass_passes", d(scan.bypass_passes)},
-        {"scan.units_rescanned", d(scan.rescanned_units)},
-        {"scan.units_replayed", d(scan.replayed_units)},
-        {"scan.dirty_buckets", d(scan.dirty_buckets)},
-        {"scan.pairs_tested", d(scan.pairs_tested)},
-        {"scan.pairs_survived", d(scan.pairs_survived)},
-        {"scan.edges_cached", d(scan.edges_cached)},
-        {"scan.edges_replayed", d(scan.edges_replayed)},
-        {"index.moves", d(index.moves)},
-        {"index.relinks", d(index.relinks)},
-        {"index.dirty_marks", d(index.dirty_marks)},
-        {"index.rebuilds", d(index.rebuilds)},
-        {"dsu.unites", d(dsu.unites)},
-        {"dsu.fast_path_hits", d(dsu.fast_path_hits)},
-        {"walk.blocks_decoded", d(walk.blocks_decoded)},
-        {"walk.blocks_scalar", d(walk.blocks_scalar)},
-        {"cert.checks", d(cert_.checks)},
-        {"cert.pairs_tested", d(cert_.pairs_tested)},
-        {"cert.quiet_steps", d(cert_.quiet_steps)},
-    };
-}
-
-void BroadcastProcess::set_trace(obs::StepTrace* trace) noexcept {
-    trace_ = trace;
-    if (trace_ != nullptr) {
-        set_phase_timing(true);
-        // Baseline at attach time, so the first traced step's deltas cover
-        // that step only — not the construction-time build pass.
-        trace_prev_ = trace_totals();
-    }
-}
-
-/// Current cumulative totals of every traced engine counter and phase.
-obs::StepRecord BroadcastProcess::trace_totals() const noexcept {
-    obs::StepRecord cur{};
-    const auto ph = phase_timings();
-    cur.walk_s = ph.walk_s;
-    cur.index_s = ph.index_s;
-    cur.components_s = ph.components_s;
-    cur.exchange_s = ph.exchange_s;
-    const auto& scan = builder_.scan_stats();
-    cur.rescanned = scan.rescanned_units;
-    cur.replayed = scan.replayed_units;
-    cur.bypass = scan.bypass_passes;
-    cur.pairs_tested = scan.pairs_tested;
-    cur.pairs_survived = scan.pairs_survived;
-    cur.edges_cached = scan.edges_cached;
-    cur.edges_replayed = scan.edges_replayed;
-    cur.dirty_buckets = scan.dirty_buckets;
-    const auto& index = builder_.index_stats();
-    cur.index_moves = index.moves;
-    cur.index_relinks = index.relinks;
-    const auto& dsu = dsu_.stats();
-    cur.dsu_unites = dsu.unites;
-    cur.dsu_fast_hits = dsu.fast_path_hits;
-    const auto& walk = agents_.decode_stats();
-    cur.blocks_decoded = walk.blocks_decoded;
-    cur.blocks_scalar = walk.blocks_scalar;
-    cur.quiet = cert_.quiet_steps;
-    return cur;
-}
-
-/// Pushes one StepRecord: deltas of every cumulative engine counter and
-/// phase total since the previous traced step, plus instantaneous gauges.
-void BroadcastProcess::trace_step() {
-    if (trace_ == nullptr) return;
-    const obs::StepRecord cur = trace_totals();
-    obs::StepRecord rec{};
-    rec.step = t_;
-    rec.walk_s = cur.walk_s - trace_prev_.walk_s;
-    rec.index_s = cur.index_s - trace_prev_.index_s;
-    rec.components_s = cur.components_s - trace_prev_.components_s;
-    rec.exchange_s = cur.exchange_s - trace_prev_.exchange_s;
-    rec.rescanned = cur.rescanned - trace_prev_.rescanned;
-    rec.replayed = cur.replayed - trace_prev_.replayed;
-    rec.bypass = cur.bypass - trace_prev_.bypass;
-    rec.pairs_tested = cur.pairs_tested - trace_prev_.pairs_tested;
-    rec.pairs_survived = cur.pairs_survived - trace_prev_.pairs_survived;
-    rec.edges_cached = cur.edges_cached - trace_prev_.edges_cached;
-    rec.edges_replayed = cur.edges_replayed - trace_prev_.edges_replayed;
-    rec.dirty_buckets = cur.dirty_buckets - trace_prev_.dirty_buckets;
-    rec.index_moves = cur.index_moves - trace_prev_.index_moves;
-    rec.index_relinks = cur.index_relinks - trace_prev_.index_relinks;
-    rec.dsu_unites = cur.dsu_unites - trace_prev_.dsu_unites;
-    rec.dsu_fast_hits = cur.dsu_fast_hits - trace_prev_.dsu_fast_hits;
-    rec.blocks_decoded = cur.blocks_decoded - trace_prev_.blocks_decoded;
-    rec.blocks_scalar = cur.blocks_scalar - trace_prev_.blocks_scalar;
-    rec.quiet = cur.quiet - trace_prev_.quiet;
-    rec.units = builder_.occupied_units();
-    rec.informed = rumor_.informed_count();
-    rec.components = static_cast<std::int64_t>(dsu_.set_count());
-    trace_->push(rec);
-    trace_prev_ = cur;
-}
-
-void BroadcastProcess::step() {
-    ++t_;
-    // smn-lint: allow(wall-clock) timing-only telemetry, gated behind timing_
-    using clock = std::chrono::steady_clock;
-    const auto stamp = [this] { return timing_ ? clock::now() : clock::time_point{}; };
-    const auto t0 = stamp();
-    // Exchange-free step (certified by the last idle pass, or saturated):
-    // with nothing observing the partition, neither the component pass nor
-    // the exchange can change observable state, so the step is the walk.
-    const bool saturated = rumor_.all_informed();
-    const bool quiet = observers_.empty() && (quiet_ > 0 || saturated);
-    // Node changes feed the incremental spatial index, quiet steps
-    // included: the dirty epoch stays open until the next pass, which then
-    // rescans every bucket touched since the last one. Past saturation the
-    // quiet window never ends, so the walk stops feeding the index and the
-    // catch-up re-indexes from scratch instead.
-    unindexed_ = unindexed_ || (quiet && saturated);
-    const bool hook = !unindexed_;
-    const auto report = [this, hook](walk::AgentId a, grid::Point from, grid::Point to) {
-        if (hook) builder_.on_move(a, from, to);
-    };
-    if (config_.mobility == Mobility::kAllMove) {
-        agents_.step_all(rng_, report);
-    } else {
-        // Frog model: agents informed *before* this step's motion walk;
-        // agents informed during this step's exchange start moving next
-        // step. Copy the flags because exchange mutates them.
-        const auto flags = rumor_.flags();
-        std::copy(flags.begin(), flags.end(), move_mask_.begin());
-        agents_.step_subset(rng_, move_mask_, report);
-    }
-    stale_ = true;
-    const auto t1 = stamp();
-    if (timing_) walk_seconds_ += std::chrono::duration<double>(t1 - t0).count();
-    if (quiet) {
-        if (quiet_ > 0) --quiet_;
-        ++cert_.quiet_steps;
-        trace_step();
-        return;
-    }
-    refresh_components();
-    const auto t2 = stamp();
-    const auto informed_before = rumor_.informed_count();
-    exchange();
-    // An idle pass certifies how many of the next steps stay exchange-free.
-    const bool idle = rumor_.informed_count() == informed_before && !rumor_.all_informed();
-    quiet_ = idle && observers_.empty() ? certify() : 0;
-    if (timing_) exchange_seconds_ += std::chrono::duration<double>(clock::now() - t2).count();
-    trace_step();
-    notify();
 }
 
 std::int64_t BroadcastProcess::certify() {
@@ -391,52 +175,9 @@ std::int64_t BroadcastProcess::certify() {
     return frog ? slack : slack / 2;
 }
 
-void BroadcastProcess::refresh_components() {
-    if (!stale_) return;  // no step since the last pass
-    // One pass over every bucket dirtied since the last one (a single step,
-    // or a whole run of exchange-free steps), or a from-scratch re-index
-    // once the index stopped tracking moves. Accounted under the rebuild
-    // phase so phase_timings() subtraction stays consistent.
-    // smn-lint: allow(wall-clock) timing-only telemetry, gated behind timing_
-    using clock = std::chrono::steady_clock;
-    const auto t0 = timing_ ? clock::now() : clock::time_point{};
-    if (unindexed_) {
-        builder_.build(agents_.positions(), dsu_);
-    } else {
-        builder_.rebuild_components(agents_.positions(), dsu_);
-    }
-    if (timing_) rebuild_seconds_ += std::chrono::duration<double>(clock::now() - t0).count();
-    stale_ = false;
-    unindexed_ = false;
-}
-
-void BroadcastProcess::set_phase_timing(bool on) noexcept {
-    timing_ = on;
-    builder_.set_timing(on);
-}
-
-StepPhaseTimings BroadcastProcess::phase_timings() const noexcept {
-    StepPhaseTimings timings;
-    timings.walk_s = walk_seconds_;
-    timings.index_s = builder_.prep_seconds();
-    // Clamp: clock granularity can make the prep total nominally exceed
-    // the enclosing rebuild total.
-    timings.components_s = std::max(0.0, rebuild_seconds_ - builder_.prep_seconds());
-    timings.exchange_s = exchange_seconds_;
-    return timings;
-}
-
-std::optional<std::int64_t> BroadcastProcess::run_until_complete(std::int64_t max_steps) {
-    while (!complete()) {
-        if (t_ >= max_steps) return std::nullopt;
-        step();
-    }
-    return t_;
-}
-
-void BroadcastProcess::exchange() {
+bool BroadcastProcess::exchange() {
     // Saturated: no component can learn anything new.
-    if (rumor_.all_informed()) return;
+    if (rumor_.all_informed()) return false;
     // Pass 1: one find per agent (the labels buffer remembers it for pass
     // 2, so this is the only find pass), classifying each component —
     // bit 0: has an informed member, bit 1: has an uninformed member.
@@ -453,14 +194,16 @@ void BroadcastProcess::exchange() {
     }
     // Pass 2: flood only mixed components (fully informed ones — the
     // common case late in a run — need no work). Skipped outright when
-    // every informed component is homogeneous.
-    if (!any_mixed) return;
+    // every informed component is homogeneous; any mixed component
+    // informs at least one agent.
+    if (!any_mixed) return false;
     for (std::int32_t a = 0; a < k; ++a) {
         const auto root = static_cast<std::size_t>(labels_[static_cast<std::size_t>(a)]);
         if (root_informed_[root] == 3 && !rumor_.is_informed(a)) {
             rumor_.inform(a, t_);
         }
     }
+    return true;
 }
 
 void BroadcastProcess::notify() {
@@ -469,5 +212,7 @@ void BroadcastProcess::notify() {
         .time = t_, .positions = agents_.positions(), .components = dsu_, .rumor = rumor_};
     for (auto* obs : observers_) obs->on_step(view);
 }
+
+template class StepLoop<BroadcastProcess>;
 
 }  // namespace smn::core

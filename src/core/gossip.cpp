@@ -9,41 +9,27 @@
 namespace smn::core {
 
 GossipProcess::GossipProcess(const EngineConfig& config)
-    : config_{validate_config(config)},
-      rng_{config.seed},
-      agents_{grid::Grid2D::square(config.side), config.k, rng_, config.walk},
-      builder_{agents_.grid(), config.radius, config.metric},
-      dsu_{static_cast<std::size_t>(config.k)},
-      rumors_{MultiRumorState::one_rumor_per_agent(config.k)},
-      rumor_known_count_(static_cast<std::size_t>(config.k), 1),
-      rumor_complete_time_(static_cast<std::size_t>(config.k), -1),
-      component_or_(static_cast<std::size_t>(config.k) * rumors_.words_per_agent(), 0) {
-    known_pairs_ = config.k;  // each agent knows its own rumor
-    if (config.k == 1) rumor_complete_time_[0] = 0;
-    builder_.build(agents_.positions(), dsu_);
-    exchange();
+    : StepLoop{config},
+      rumors_{MultiRumorState::one_rumor_per_agent(config_.k)},
+      known_pairs_{config_.k},  // each agent knows its own rumor
+      rumor_known_count_(static_cast<std::size_t>(config_.k), 1),
+      rumor_complete_time_(static_cast<std::size_t>(config_.k), -1),
+      component_or_(static_cast<std::size_t>(config_.k) * rumors_.words_per_agent(), 0) {
+    if (config_.k == 1) rumor_complete_time_[0] = 0;
+    start(/*fresh=*/true);
 }
 
 GossipProcess::GossipProcess(const GossipState& state)
-    : config_{validate_config(state.config)},
-      rng_{rng::Xoshiro256StarStar{state.rng_state}},
-      agents_{grid::Grid2D::square(config_.side), state.positions, config_.walk},
-      builder_{agents_.grid(), config_.radius, config_.metric},
-      dsu_{static_cast<std::size_t>(config_.k)},
+    : StepLoop{state.config, state.rng_state, state.positions, state.t},
       rumors_{config_.k, config_.k, state.rumor_bits},
-      t_{state.t},
       rumor_known_count_(static_cast<std::size_t>(config_.k), 0),
       rumor_complete_time_{state.rumor_complete_time},
       component_or_(static_cast<std::size_t>(config_.k) * rumors_.words_per_agent(), 0) {
     const auto k = config_.k;
-    if (state.positions.size() != static_cast<std::size_t>(k) ||
-        state.rumor_complete_time.size() != static_cast<std::size_t>(k) || state.t < 0) {
+    if (rumor_complete_time_.size() != static_cast<std::size_t>(k)) {
         throw std::invalid_argument("GossipState: vector sizes disagree with k");
     }
-    // Derived tallies: per-rumor known counts and the known-pairs total
-    // are recomputed from the restored bitsets (the MultiRumorState
-    // restore constructor already validated them and rebuilt the
-    // per-agent counters).
+    // Per-rumor known counts and the known-pairs total, from the bitsets.
     for (std::int32_t a = 0; a < k; ++a) {
         for (std::size_t w = 0; w < rumors_.words_per_agent(); ++w) {
             std::uint64_t bits = rumors_.word(a, w);
@@ -55,43 +41,25 @@ GossipProcess::GossipProcess(const GossipState& state)
             }
         }
     }
-    builder_.build(agents_.positions(), dsu_);
+    for (std::size_t r = 0; r < rumor_complete_time_.size(); ++r) {
+        check_event_time(rumor_complete_time_[r], rumor_known_count_[r] == k, t_,
+                         "GossipState: rumor completion time");
+    }
+    start(/*fresh=*/false);
 }
 
 GossipState GossipProcess::capture() const {
-    GossipState state;
-    state.config = config_;
-    state.rng_state = rng_.engine().state();
-    const auto positions = agents_.positions();
-    state.positions.assign(positions.begin(), positions.end());
+    auto state = capture_loop<GossipState>();
     const auto words = rumors_.words();
     state.rumor_bits.assign(words.begin(), words.end());
     state.rumor_complete_time = rumor_complete_time_;
-    state.t = t_;
     return state;
 }
 
-void GossipProcess::step() {
-    ++t_;
-    builder_.begin_step();
-    agents_.step_all(rng_, [this](walk::AgentId a, grid::Point from, grid::Point to) {
-        builder_.on_move(a, from, to);
-    });
-    builder_.rebuild_components(agents_.positions(), dsu_);
-    exchange();
-}
-
-std::optional<std::int64_t> GossipProcess::run_until_complete(std::int64_t max_steps) {
-    while (!complete()) {
-        if (t_ >= max_steps) return std::nullopt;
-        step();
-    }
-    return t_;
-}
-
-void GossipProcess::exchange() {
+bool GossipProcess::exchange() {
     const auto k = config_.k;
     const auto words = rumors_.words_per_agent();
+    const auto known_before = known_pairs_;
 
     // One find pass: both OR/distribute passes then index by plain labels.
     graph::component_labels(dsu_, labels_);
@@ -131,6 +99,7 @@ void GossipProcess::exchange() {
         auto* acc = &component_or_[static_cast<std::size_t>(root) * words];
         std::fill(acc, acc + words, std::uint64_t{0});
     }
+    return known_pairs_ != known_before;
 }
 
 GossipResult run_gossip(const EngineConfig& config, std::int64_t max_steps) {
@@ -145,20 +114,21 @@ GossipResult run_gossip(const EngineConfig& config, std::int64_t max_steps) {
     result.gossip_time = tg.value_or(-1);
 
     if (result.completed) {
-        std::int64_t max_tb = -1;
-        std::int64_t min_tb = -1;
+        // Every rumor completed within [0, T_G].
+        result.max_rumor_broadcast_time = 0;
+        result.min_rumor_broadcast_time = result.gossip_time;
         double sum = 0.0;
         for (std::int32_t r = 0; r < config.k; ++r) {
             const auto tb = process.rumor_broadcast_time(r);
-            max_tb = std::max(max_tb, tb);
-            min_tb = min_tb < 0 ? tb : std::min(min_tb, tb);
+            result.max_rumor_broadcast_time = std::max(result.max_rumor_broadcast_time, tb);
+            result.min_rumor_broadcast_time = std::min(result.min_rumor_broadcast_time, tb);
             sum += static_cast<double>(tb);
         }
-        result.max_rumor_broadcast_time = max_tb;
-        result.min_rumor_broadcast_time = min_tb;
         result.mean_rumor_broadcast_time = sum / static_cast<double>(config.k);
     }
     return result;
 }
+
+template class StepLoop<GossipProcess>;
 
 }  // namespace smn::core

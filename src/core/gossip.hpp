@@ -7,22 +7,19 @@
 // Corollary 2: T_G = Õ(n/√k) — the same scale as a single broadcast,
 // because all k rumors ride the same meetings.
 //
-// GossipProcess also reports per-rumor broadcast times, so one gossip run
-// yields k correlated samples of T_B (used by bench_gossip to show the
-// max-over-rumors behaviour).
+// GossipProcess runs on BroadcastProcess's StepLoop (engine.hpp); only the
+// rumor rule differs. Its per-rumor broadcast times are k correlated T_B
+// samples, each that of a BroadcastProcess with that source and seed.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "core/rumor.hpp"
-#include "graph/dsu.hpp"
-#include "graph/visibility.hpp"
-#include "rng/rng.hpp"
-#include "walk/ensemble.hpp"
+#include "grid/point.hpp"
 
 namespace smn::core {
 
@@ -42,7 +39,10 @@ struct GossipState {
 };
 
 /// Multi-rumor dissemination process (one rumor per agent initially).
-class GossipProcess {
+/// Every agent walks each step whatever `config.mobility` says: each one
+/// holds its own rumor from t = 0, so under Frog mobility every agent is
+/// informed and moves, as under all-move.
+class GossipProcess : public StepLoop<GossipProcess> {
 public:
     /// Same config and validation as broadcast (validate_config); beyond
     /// that check `config.source` is ignored (every agent is a source of
@@ -51,34 +51,19 @@ public:
 
     /// Restores a process captured by capture(); same contract as the
     /// BroadcastProcess restore constructor (bit-identical continuation,
-    /// index rebuilt from positions, no initial exchange).
+    /// index rebuilt from positions, no initial exchange). A rumor's
+    /// completion time must lie in [0, t] exactly when all k agents know
+    /// it, and be −1 otherwise.
     explicit GossipProcess(const GossipState& state);
 
     /// Captures the complete trajectory-determining state; only valid at
     /// a step boundary (see BroadcastProcess::capture).
     [[nodiscard]] GossipState capture() const;
 
-    // Non-copyable: the incremental spatial index views the ensemble's
-    // position storage, which a copy would silently keep aliasing. Moves
-    // are fine (vector storage survives a move).
-    GossipProcess(const GossipProcess&) = delete;
-    GossipProcess& operator=(const GossipProcess&) = delete;
-    GossipProcess(GossipProcess&&) = default;
-    GossipProcess& operator=(GossipProcess&&) = default;
-
-    /// Advances one time step: move, rebuild G_t(r), exchange rumor sets.
-    void step();
-
-    /// Steps until every agent knows every rumor, or `max_steps`.
-    /// Returns T_G or nullopt on timeout.
-    std::optional<std::int64_t> run_until_complete(std::int64_t max_steps);
-
-    [[nodiscard]] std::int64_t time() const noexcept { return t_; }
     [[nodiscard]] bool complete() const noexcept {
         return known_pairs_ == std::int64_t{config_.k} * config_.k;
     }
     [[nodiscard]] const MultiRumorState& rumors() const noexcept { return rumors_; }
-    [[nodiscard]] const EngineConfig& config() const noexcept { return config_; }
 
     /// First time rumor `r` was known by all agents; −1 if not yet.
     [[nodiscard]] std::int64_t rumor_broadcast_time(std::int32_t r) const noexcept {
@@ -90,22 +75,26 @@ public:
     [[nodiscard]] std::int64_t known_pairs() const noexcept { return known_pairs_; }
 
 private:
-    void exchange();
+    friend class StepLoop<GossipProcess>;
 
-    EngineConfig config_;
-    rng::Rng rng_;
-    walk::AgentEnsemble agents_;
-    graph::VisibilityGraphBuilder builder_;
-    graph::DisjointSets dsu_;
+    [[nodiscard]] static std::span<const std::uint8_t> movers() noexcept { return {}; }
+    bool exchange();
+    /// No gossip certificate yet: every step before completion runs the
+    /// component pass and the exchange.
+    [[nodiscard]] static std::int64_t certify() noexcept { return 0; }
+    [[nodiscard]] static bool observed() noexcept { return false; }
+    static void notify() noexcept {}
+    [[nodiscard]] std::int64_t informed_agents() const noexcept { return rumors_.done_agents(); }
+
     MultiRumorState rumors_;
-    std::int64_t t_{0};
     std::int64_t known_pairs_{0};
     std::vector<std::int32_t> rumor_known_count_;     ///< per rumor: #agents knowing it
     std::vector<std::int64_t> rumor_complete_time_;   ///< per rumor: completion time
     std::vector<std::uint64_t> component_or_;          ///< scratch: per-root OR accumulator
     std::vector<std::int32_t> touched_roots_;          ///< scratch
-    std::vector<std::int32_t> labels_;                 ///< scratch: component labels
 };
+
+extern template class StepLoop<GossipProcess>;
 
 /// Result of one gossip replication.
 struct GossipResult {

@@ -77,18 +77,14 @@ public:
 
     /// Restores a captured knowledge state (io/snapshot.cpp). The count
     /// is recomputed from the flags; throws std::invalid_argument on a
-    /// size mismatch, no informed agent, or flag/time disagreement.
+    /// size mismatch or no informed agent. The times are checked against
+    /// the flags by the BroadcastProcess restore, which knows t.
     SingleRumor(std::vector<std::uint8_t> informed, std::vector<std::int64_t> informed_time)
         : informed_{std::move(informed)}, informed_time_{std::move(informed_time)} {
         if (informed_.empty() || informed_.size() != informed_time_.size()) {
             throw std::invalid_argument("SingleRumor: flag/time size mismatch");
         }
-        for (std::size_t a = 0; a < informed_.size(); ++a) {
-            if ((informed_[a] != 0) != (informed_time_[a] >= 0)) {
-                throw std::invalid_argument("SingleRumor: flag/time disagreement");
-            }
-            informed_count_ += informed_[a] != 0;
-        }
+        for (const auto flag : informed_) informed_count_ += flag != 0;
         if (informed_count_ == 0) {
             throw std::invalid_argument("SingleRumor: no informed agent");
         }
@@ -108,31 +104,13 @@ private:
 /// k · words_per_agent bits.
 class MultiRumorState {
 public:
-    /// Agent `a` starts knowing exactly rumor `a` when m == k and
-    /// initial_owner(i) == i; the general form assigns rumor i to agent
-    /// owners[i].
+    /// Rumor i starts with agent owners[i] only.
     MultiRumorState(std::int32_t agent_count, std::span<const std::int32_t> owners)
-        : agent_count_{agent_count},
-          rumor_count_{static_cast<std::int32_t>(owners.size())},
-          words_per_agent_{(static_cast<std::size_t>(owners.size()) + 63) / 64},
-          bits_(static_cast<std::size_t>(agent_count) * words_per_agent_, 0),
-          known_count_(static_cast<std::size_t>(agent_count), 0) {
-        assert(agent_count >= 1);
-        for (std::size_t r = 0; r < owners.size(); ++r) {
-            assert(owners[r] >= 0 && owners[r] < agent_count);
-            mutable_word(owners[r], r / 64) |= std::uint64_t{1} << (r % 64);
-        }
-        for (std::int32_t a = 0; a < agent_count_; ++a) {
-            auto& count = known_count_[static_cast<std::size_t>(a)];
-            for (std::size_t w = 0; w < words_per_agent_; ++w) {
-                count += static_cast<std::int32_t>(__builtin_popcountll(word(a, w)));
-            }
-            if (count == rumor_count_) ++done_agents_;
-        }
-    }
+        : MultiRumorState{agent_count, static_cast<std::int32_t>(owners.size()),
+                          owner_bits(agent_count, owners)} {}
 
-    /// Restores a captured knowledge state from raw bitset words
-    /// (io/snapshot.cpp). Per-agent knowledge counts and the done-agent
+    /// Builds a knowledge state from raw bitset words (a restore, or
+    /// one_rumor_per_agent). Per-agent knowledge counts and the done-agent
     /// counter are recomputed; throws std::invalid_argument on a size
     /// mismatch or set padding bits beyond rumor_count.
     MultiRumorState(std::int32_t agent_count, std::int32_t rumor_count,
@@ -220,6 +198,17 @@ public:
     }
 
 private:
+    static std::vector<std::uint64_t> owner_bits(std::int32_t agent_count,
+                                                 std::span<const std::int32_t> owners) {
+        const auto words = (owners.size() + 63) / 64;
+        std::vector<std::uint64_t> bits(static_cast<std::size_t>(agent_count) * words, 0);
+        for (std::size_t r = 0; r < owners.size(); ++r) {
+            assert(owners[r] >= 0 && owners[r] < agent_count);
+            bits[static_cast<std::size_t>(owners[r]) * words + r / 64] |= std::uint64_t{1} << (r % 64);
+        }
+        return bits;
+    }
+
     [[nodiscard]] std::uint64_t& mutable_word(std::int32_t a, std::size_t w) noexcept {
         return bits_[static_cast<std::size_t>(a) * words_per_agent_ + w];
     }

@@ -9,7 +9,6 @@
 #include "exp/scenario.hpp"
 #include "exp/scenarios.hpp"
 #include "graph/percolation.hpp"
-#include "models/frog.hpp"
 #include "models/torus_broadcast.hpp"
 
 namespace smn::exp {
@@ -65,7 +64,9 @@ SMN_REGISTER_SCENARIO(
         .quick_sweep = "side=12;k=4,8",
         .run_rep =
             [](const ScenarioParams& p, std::uint64_t seed) {
-                return broadcast_metrics(models::run_frog_broadcast(engine_config(p, seed)));
+                auto config = engine_config(p, seed);
+                config.mobility = core::Mobility::kInformedOnly;
+                return broadcast_metrics(core::run_broadcast(config));
             },
     });
 

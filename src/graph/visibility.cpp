@@ -54,8 +54,12 @@ VisibilityGraphBuilder::VisibilityGraphBuilder(const grid::Grid2D& grid, std::in
       rad32_{static_cast<grid::Coord>(
           std::min<std::int64_t>(radius, std::numeric_limits<grid::Coord>::max()))},
       metric_{metric},
-      occupancy_{grid},
-      buckets_{spatial::BucketIndex::for_radius(grid, radius)} {
+      // Each radius sizes only the structure it reads: at r = 0 the bucket
+      // index is one bucket, and at r >= 1 the occupancy map one node.
+      occupancy_{radius == 0 ? grid : grid::Grid2D{1, 1}},
+      buckets_{radius == 0
+                   ? spatial::BucketIndex{grid, std::max(grid.width(), grid.height())}
+                   : spatial::BucketIndex::for_radius(grid, radius)} {
     if (radius_ >= 1) {
         // Every in-range pair must lie in one bucket or two adjacent ones.
         if (buckets_.bucket_side() < radius_) {

@@ -250,8 +250,8 @@ private:
     std::int64_t radius_;
     grid::Coord rad32_;  ///< radius clamped to int32 for the lane kernels
     grid::Metric metric_;
-    spatial::OccupancyMap occupancy_;  ///< used when radius == 0
-    spatial::BucketIndex buckets_;     ///< used when radius >= 1
+    spatial::OccupancyMap occupancy_;  ///< used when radius == 0 (one node otherwise)
+    spatial::BucketIndex buckets_;     ///< used when radius >= 1 (one bucket otherwise)
 
     // Scan geometry: bucket side >= r, so a unit's footprint is its bucket
     // plus E, SW, S, SE; the per-bucket boundary flags are static geometry.

@@ -43,7 +43,6 @@
 #include "models/churn.hpp"         // broadcast under agent churn
 #include "models/coverage.hpp"      // T_C and k-walk cover time
 #include "models/dense_markov.hpp"  // Clementi et al. [7, 8] baseline
-#include "models/frog.hpp"          // Frog model
 #include "models/predator_prey.hpp"
 #include "models/torus_broadcast.hpp"  // boundary-effect ablation
 

@@ -10,9 +10,13 @@
 // written exchange kernels (bitset OR vs boolean flood) against each other.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+
 #include "core/broadcast.hpp"
 #include "core/engine.hpp"
 #include "core/gossip.hpp"
+#include "rng/rng.hpp"
 
 namespace smn::core {
 namespace {
@@ -54,6 +58,47 @@ INSTANTIATE_TEST_SUITE_P(
                       EquivParam{12, 6, 0, 3}, EquivParam{12, 6, 2, 4},
                       EquivParam{16, 8, 0, 5}, EquivParam{16, 8, 3, 6},
                       EquivParam{8, 12, 1, 7}, EquivParam{20, 5, 0, 8}));
+
+// The same identity over seeded random configs: side, k (past 64, where
+// each agent's rumor set spans several bitset words), r, metric and walk.
+// Gossip walks every agent whatever the mobility says, so its config
+// draws a mobility too while the matching broadcasts all move.
+TEST(GossipBroadcastEquivalenceRandom, PerRumorTimesMatchSingleBroadcasts) {
+    rng::Rng pick{0x90551b};
+    constexpr std::array<std::int64_t, 5> kRadii{0, 1, 2, 3, 5};
+    int multi_word = 0;
+    for (int trial = 0; trial < 40; ++trial) {
+        EngineConfig cfg;
+        cfg.side = static_cast<grid::Coord>(4 + pick.below(17));
+        cfg.k = static_cast<std::int32_t>(
+            trial % 4 == 0 ? 65 + pick.below(80) : 1 + pick.below(40));
+        cfg.radius = kRadii[pick.below(kRadii.size())];
+        cfg.metric = static_cast<grid::Metric>(pick.below(3));
+        cfg.walk = static_cast<walk::WalkKind>(pick.below(3));
+        cfg.mobility = static_cast<Mobility>(pick.below(2));
+        cfg.seed = pick();
+        // Non-lazy walkers of opposite parity never share a node.
+        if (cfg.walk == walk::WalkKind::kSimple && cfg.radius == 0) cfg.radius = 1;
+        SCOPED_TRACE("trial " + std::to_string(trial) + ": side " + std::to_string(cfg.side) +
+                     " k " + std::to_string(cfg.k) + " r " + std::to_string(cfg.radius) +
+                     " metric " + grid::metric_name(cfg.metric) + " walk " +
+                     walk::walk_kind_name(cfg.walk) + " " + mobility_name(cfg.mobility));
+        multi_word += cfg.k > 64 ? 1 : 0;
+
+        GossipProcess gossip{cfg};
+        const auto tg = gossip.run_until_complete(1 << 26);
+        ASSERT_TRUE(tg.has_value());
+        cfg.mobility = Mobility::kAllMove;
+        for (std::int32_t r = 0; r < cfg.k; ++r) {
+            cfg.source = r;
+            BroadcastProcess broadcast{cfg};
+            const auto tb = broadcast.run_until_complete(1 << 26);
+            ASSERT_TRUE(tb.has_value());
+            ASSERT_EQ(gossip.rumor_broadcast_time(r), *tb) << "rumor " << r;
+        }
+    }
+    EXPECT_GE(multi_word, 10);
+}
 
 // Broadcast with k = all agents in one component at t = 0 equals gossip
 // completion at t = 0 under the same condition.

@@ -111,6 +111,25 @@ TEST(Gossip, RunGossipDriverPopulatesSummary) {
               static_cast<double>(result.max_rumor_broadcast_time));
 }
 
+// Every agent holds its own rumor from t = 0, so under Frog mobility every
+// agent is informed and walks: the run is the all-move run.
+TEST(Gossip, FrogMobilityMatchesAllMove) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        EngineConfig cfg;
+        cfg.side = 12;
+        cfg.k = 7;
+        cfg.radius = static_cast<std::int64_t>(seed % 3);
+        cfg.seed = seed;
+        const auto all_move = run_gossip(cfg, 1000000);
+        cfg.mobility = Mobility::kInformedOnly;
+        const auto frog = run_gossip(cfg, 1000000);
+        ASSERT_TRUE(all_move.completed && frog.completed);
+        EXPECT_EQ(frog.gossip_time, all_move.gossip_time) << "seed " << seed;
+        EXPECT_EQ(frog.min_rumor_broadcast_time, all_move.min_rumor_broadcast_time);
+        EXPECT_DOUBLE_EQ(frog.mean_rumor_broadcast_time, all_move.mean_rumor_broadcast_time);
+    }
+}
+
 TEST(Gossip, FullRadiusCompletesImmediately) {
     EngineConfig cfg;
     cfg.side = 8;

@@ -2,6 +2,8 @@
 // statistics, percolation thresholds.
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
 #include <cmath>
 #include <numeric>
 #include <set>
@@ -202,6 +204,29 @@ TEST(Visibility, RefusesBucketsNarrowerThanTheRadius) {
                  std::invalid_argument);
     EXPECT_NO_THROW((VisibilityGraphBuilder{g, 1000}));
 }
+
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
+// At r = 0 the builder reads only its node-occupancy map, so it must not
+// also size a bucket index to the grid (16 bytes per node).
+TEST(Visibility, RadiusZeroBuilderHoldsNoGridSizedBucketIndex) {
+    const auto heap = [] {
+        const auto info = mallinfo2();
+        return static_cast<std::int64_t>(info.uordblks + info.hblkhd);
+    };
+    const auto g = Grid2D::square(1024);
+    rng::Rng rng{3};
+    std::vector<Point> pos;
+    for (int i = 0; i < 64; ++i) pos.push_back(walk::AgentEnsemble::random_node(g, rng));
+    DisjointSets dsu{64};
+    const auto before = heap();
+    VisibilityGraphBuilder builder{g, 0};
+    builder.build(pos, dsu);
+    const auto held = heap() - before;
+    if (held == 0) GTEST_SKIP() << "the allocator does not report through mallinfo2";
+    // The occupancy heads take 4 MiB (4 bytes per node) plus O(k).
+    EXPECT_LT(held, std::int64_t{6} << 20);
+}
+#endif
 
 // The engine's incremental protocol: one build(), then per-step walk moves
 // reported through on_move() and components recomputed from the maintained

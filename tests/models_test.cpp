@@ -4,9 +4,9 @@
 
 #include <algorithm>
 
+#include "core/broadcast.hpp"
 #include "models/coverage.hpp"
 #include "models/dense_markov.hpp"
-#include "models/frog.hpp"
 #include "models/predator_prey.hpp"
 
 namespace smn::models {
@@ -18,20 +18,11 @@ TEST(Frog, CompletesOnSmallSystem) {
     core::EngineConfig cfg;
     cfg.side = 10;
     cfg.k = 6;
+    cfg.mobility = core::Mobility::kInformedOnly;
     cfg.seed = 1;
-    const auto result = run_frog_broadcast(cfg, {.max_steps = 2000000});
+    const auto result = core::run_broadcast(cfg, {.max_steps = 2000000});
     EXPECT_TRUE(result.completed);
     EXPECT_GE(result.broadcast_time, 0);
-    EXPECT_EQ(result.config.mobility, core::Mobility::kInformedOnly);
-}
-
-TEST(Frog, OverridesMobilityEvenIfCallerSetsAllMove) {
-    core::EngineConfig cfg;
-    cfg.side = 8;
-    cfg.k = 4;
-    cfg.mobility = core::Mobility::kAllMove;
-    cfg.seed = 2;
-    const auto result = run_frog_broadcast(cfg, {.max_steps = 2000000});
     EXPECT_EQ(result.config.mobility, core::Mobility::kInformedOnly);
 }
 
@@ -47,7 +38,9 @@ TEST(Frog, SlowerThanDynamicOnAverage) {
     constexpr int kReps = 12;
     for (std::uint64_t seed = 1; seed <= kReps; ++seed) {
         cfg.seed = seed;
-        const auto frog = run_frog_broadcast(cfg, {.max_steps = 4000000});
+        auto frog_cfg = cfg;
+        frog_cfg.mobility = core::Mobility::kInformedOnly;
+        const auto frog = core::run_broadcast(frog_cfg, {.max_steps = 4000000});
         const auto dyn = core::run_broadcast(cfg, {.max_steps = 4000000});
         ASSERT_TRUE(frog.completed && dyn.completed);
         frog_total += static_cast<double>(frog.broadcast_time);

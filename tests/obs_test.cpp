@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/gossip.hpp"
 #include "graph/dsu.hpp"
 #include "graph/visibility.hpp"
 #include "grid/grid.hpp"
@@ -343,6 +344,38 @@ TEST(EngineCounters, PassesCountEveryStepThatIsNotQuiet) {
         EXPECT_GT(engine_counter(process, "cert.checks"), 0.0);
         EXPECT_GT(engine_counter(process, "cert.pairs_tested"), 0.0);
     }
+}
+
+// Gossip runs on the same loop: it certifies no quiet window, so every
+// step runs one pass, and its destructor flushes the same engine.*
+// counters as broadcast.
+TEST(EngineCounters, GossipRunsOnePassPerStep) {
+    core::EngineConfig cfg;
+    cfg.side = 24;
+    cfg.k = 12;
+    cfg.seed = 9;
+#if SMN_OBS_ENABLED
+    Registry::instance().reset_all();
+#endif
+    double passes = 0.0;
+    std::int64_t tg = 0;
+    {
+        core::GossipProcess process{cfg};
+        ASSERT_TRUE(process.run_until_complete(1 << 24).has_value());
+        tg = process.time();
+        double quiet = -1.0;
+        for (const auto& [name, value] : process.counters()) {
+            if (std::string_view{name} == "scan.passes") passes = value;
+            if (std::string_view{name} == "cert.quiet_steps") quiet = value;
+        }
+        EXPECT_EQ(passes, static_cast<double>(1 + tg));
+        EXPECT_EQ(quiet, 0.0);
+    }
+    EXPECT_GT(tg, 0);
+#if SMN_OBS_ENABLED
+    EXPECT_EQ(Registry::instance().counter("engine.scan.passes").value(),
+              static_cast<std::int64_t>(passes));
+#endif
 }
 
 #if SMN_OBS_ENABLED

@@ -12,10 +12,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -248,6 +250,46 @@ TEST(GossipSnapshot, StateAndTrajectorySurviveRoundTrip) {
     }
 }
 
+// Over seeded random configs, a gossip process checkpointed through a
+// snapshot file at a random t continues exactly as the uninterrupted run:
+// same T_G, per-rumor times, known pairs and final positions.
+TEST(GossipSnapshot, RestoreAtARandomStepContinuesBitIdentically) {
+    rng::Rng pick{0x6055};
+    for (int trial = 0; trial < 12; ++trial) {
+        core::EngineConfig cfg;
+        cfg.side = static_cast<grid::Coord>(6 + pick.below(15));
+        cfg.k = static_cast<std::int32_t>(2 + pick.below(trial % 3 == 0 ? 100 : 20));
+        cfg.radius = static_cast<std::int64_t>(pick.below(4));
+        cfg.metric = static_cast<grid::Metric>(pick.below(3));
+        cfg.walk = static_cast<walk::WalkKind>(pick.below(3));
+        cfg.seed = pick();
+        // Non-lazy walkers of opposite parity never share a node.
+        if (cfg.walk == walk::WalkKind::kSimple && cfg.radius == 0) cfg.radius = 1;
+        SCOPED_TRACE("trial " + std::to_string(trial));
+
+        core::GossipProcess original{cfg};
+        ASSERT_TRUE(original.run_until_complete(1 << 22).has_value());
+        const auto t_snap = static_cast<std::int64_t>(
+            pick.below(static_cast<std::uint64_t>(original.time()) + 1));
+        std::optional<core::GossipProcess> resumed{std::in_place, cfg};
+        while (resumed->time() < t_snap) resumed->step();
+        TempFile file{"gossip_random_t"};
+        save_snapshot(file.path(), resumed->capture());
+        resumed.emplace(load_gossip_snapshot(file.path()));
+        ASSERT_EQ(resumed->time(), t_snap);
+        ASSERT_TRUE(resumed->run_until_complete(1 << 22).has_value());
+
+        EXPECT_EQ(resumed->time(), original.time());
+        EXPECT_EQ(resumed->known_pairs(), original.known_pairs());
+        for (std::int32_t r = 0; r < cfg.k; ++r) {
+            EXPECT_EQ(resumed->rumor_broadcast_time(r), original.rumor_broadcast_time(r));
+        }
+        const auto a = resumed->agents().positions();
+        const auto b = original.agents().positions();
+        EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
+    }
+}
+
 // --------------------------------------------------- rejection paths
 
 class SnapshotRejection : public ::testing::Test {
@@ -375,6 +417,57 @@ TEST_F(SnapshotRejection, UndeclaredWalkRejected) {
 TEST_F(SnapshotRejection, UndeclaredMobilityRejected) {
     expect_undeclared_enumerator_rejected(
         file_.path(), [](core::EngineConfig& c) { c.mobility = static_cast<core::Mobility>(7); });
+}
+
+/// Saves `state` (the writer stores it as is, under a valid CRC), loads it
+/// back and expects the restore to refuse it.
+template <typename Process, typename State, typename Load>
+void expect_restore_refused(const std::string& path, const State& state, Load load) {
+    save_snapshot(path, state);
+    const auto loaded = load(path);
+    EXPECT_THROW(Process{loaded}, std::invalid_argument);
+}
+
+/// A gossip run on a 10×10 grid, k 6, seed 5, stopped at t = 64, the
+/// step at which rumor 1 becomes known to all agents (rumor 0 only
+/// completes at t = 159).
+core::GossipState gossip_at_rumor_one_completion() {
+    core::EngineConfig cfg;
+    cfg.side = 10;
+    cfg.k = 6;
+    cfg.seed = 5;
+    core::GossipProcess process{cfg};
+    while (process.rumor_broadcast_time(1) < 0) process.step();
+    EXPECT_EQ(process.time(), 64);
+    EXPECT_EQ(process.rumor_broadcast_time(0), -1);
+    return process.capture();
+}
+
+TEST_F(SnapshotRejection, GossipCompletedRumorTimeOutsideZeroToTRejected) {
+    auto state = gossip_at_rumor_one_completion();
+    const auto load = [](const std::string& p) { return load_gossip_snapshot(p); };
+    for (const std::int64_t time : {std::int64_t{-1}, state.t + 1}) {
+        state.rumor_complete_time[1] = time;
+        expect_restore_refused<core::GossipProcess>(file_.path(), state, load);
+    }
+}
+
+TEST_F(SnapshotRejection, GossipOpenRumorWithACompletionTimeRejected) {
+    auto state = gossip_at_rumor_one_completion();
+    state.rumor_complete_time[0] = state.t + 1000;
+    expect_restore_refused<core::GossipProcess>(
+        file_.path(), state, [](const std::string& p) { return load_gossip_snapshot(p); });
+}
+
+TEST_F(SnapshotRejection, BroadcastInformedTimeAfterTRejected) {
+    core::BroadcastProcess process{config_for(grid::Metric::kManhattan, 2,
+                                              core::Mobility::kAllMove,
+                                              walk::WalkKind::kLazyPaper)};
+    for (int i = 0; i < 5; ++i) process.step();
+    auto state = process.capture();
+    state.informed_time[static_cast<std::size_t>(state.config.source)] = state.t + 999;
+    expect_restore_refused<core::BroadcastProcess>(
+        file_.path(), state, [](const std::string& p) { return load_broadcast_snapshot(p); });
 }
 
 /// Seeded byte mutations of one valid snapshot, each re-sealed with a
