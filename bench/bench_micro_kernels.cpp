@@ -1,9 +1,9 @@
 // bench_micro_kernels — Experiment E18 (engineering, not a paper claim).
 //
 // google-benchmark timings of the hot kernels that set the simulator's
-// throughput: walk stepping, occupancy/bucket rebuilds, visibility
-// component construction at several radii, component flooding, and a full
-// engine step. These justify the performance envelope quoted in DESIGN.md
+// throughput: walk stepping, bucket rebuilds, visibility component
+// construction at several radii (r = 0, co-location, included), component
+// flooding, and a full engine step. These justify the performance envelope quoted in DESIGN.md
 // (O(k) expected per time step at sparse densities).
 #include <benchmark/benchmark.h>
 
@@ -16,7 +16,6 @@
 #include "grid/grid.hpp"
 #include "rng/rng.hpp"
 #include "spatial/bucket_index.hpp"
-#include "spatial/occupancy.hpp"
 #include "walk/decode.hpp"
 #include "walk/ensemble.hpp"
 
@@ -36,20 +35,6 @@ void BM_WalkStepAll(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * k);
 }
 BENCHMARK(BM_WalkStepAll)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
-
-void BM_OccupancyRebuild(benchmark::State& state) {
-    const auto k = static_cast<std::int32_t>(state.range(0));
-    const auto g = grid::Grid2D::square(256);
-    rng::Rng rng{2};
-    walk::AgentEnsemble agents{g, k, rng};
-    spatial::OccupancyMap occ{g};
-    for (auto _ : state) {
-        occ.rebuild(agents.positions());
-        benchmark::DoNotOptimize(occ.occupied_nodes().data());
-    }
-    state.SetItemsProcessed(state.iterations() * k);
-}
-BENCHMARK(BM_OccupancyRebuild)->Arg(256)->Arg(4096);
 
 void BM_BucketRebuild(benchmark::State& state) {
     const auto k = static_cast<std::int32_t>(state.range(0));
@@ -133,7 +118,6 @@ void BM_InRangeMask(benchmark::State& state) {
     // occupancy: short runs (the count argument) over padded SoA rows.
     const auto count = static_cast<std::size_t>(state.range(0));
     const bool scalar = state.range(1) != 0;
-    const auto g = grid::Grid2D::square(256);
     rng::Rng rng{8};
     constexpr std::size_t kProbes = 4096;
     std::vector<std::int32_t> xs(kProbes + graph::kRangePad);

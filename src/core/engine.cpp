@@ -1,7 +1,6 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -10,8 +9,9 @@
 namespace smn::core {
 
 EngineConfig validate_config(EngineConfig config) {
-    if (config.side < 1) {
-        throw std::invalid_argument("EngineConfig: side must be >= 1");
+    if (config.side < 1 || config.side > graph::kMaxSide) {
+        throw std::invalid_argument("EngineConfig: side " + std::to_string(config.side) +
+                                    " is outside [1, 2^30]");
     }
     if (config.k < 1) {
         throw std::invalid_argument("EngineConfig: k must be >= 1");
@@ -37,14 +37,6 @@ EngineConfig validate_config(EngineConfig config) {
 }
 
 namespace {
-
-/// ⌊√v⌋ for v >= 0, exact: the double estimate is corrected in integers.
-std::int64_t isqrt(std::int64_t v) noexcept {
-    auto s = static_cast<std::int64_t>(std::sqrt(static_cast<double>(v)));
-    while (s * s > v) --s;
-    while ((s + 1) * (s + 1) <= v) ++s;
-    return s;
-}
 
 /// Smallest distance key between (x, y) and the n points (xs[i], ys[i]):
 /// the metric distance for L1 and L∞, its square for L2. Branch-free, so
@@ -163,7 +155,7 @@ std::int64_t BroadcastProcess::certify() {
         case grid::Metric::kEuclidean: {
             // Squared keys; ⌊√D²⌋ ≤ stop exactly when D² < (stop + 1)².
             const auto stop_sq = (stop + 1) * (stop + 1) - 1;
-            d = isqrt(scan.template operator()<grid::Metric::kEuclidean>(stop_sq));
+            d = grid::isqrt(scan.template operator()<grid::Metric::kEuclidean>(stop_sq));
             break;
         }
     }

@@ -75,19 +75,20 @@ struct EngineConfig {
     [[nodiscard]] std::int64_t n() const noexcept { return std::int64_t{side} * side; }
 };
 
-/// The config check both processes run, fresh and restored: side >= 1,
-/// k >= 1, radius >= 0, source in [0, k), and metric, walk and mobility
-/// naming a declared enumerator. Throws std::invalid_argument; returns the
-/// config unchanged.
+/// The config check both processes run, fresh and restored: side in
+/// [1, graph::kMaxSide], k >= 1, radius >= 0, source in [0, k), and
+/// metric, walk and mobility naming a declared enumerator. Throws
+/// std::invalid_argument; returns the config unchanged.
 [[nodiscard]] EngineConfig validate_config(EngineConfig config);
 
 /// Cumulative wall-clock attribution of the step loop's phases, captured
 /// when phase timing is enabled (see StepLoop::set_phase_timing).
-/// index_s is the component pass's index-prep portion (CSR snapshot +
-/// taint expansion inside the builder); components_s is the remainder of
-/// the rebuild (pair scan / edge replay + unions); walk_s includes the
-/// O(1) per-move index updates reported from the walk kernel; exchange_s
-/// includes the exchange-free certificate that follows an idle exchange.
+/// index_s is the component pass's index-prep portion (the index catching
+/// up with every node change since the last pass, and taint expansion);
+/// components_s is the remainder of the rebuild (pair scan / edge replay +
+/// unions); walk_s is the walk kernel alone (the index is updated at the
+/// pass); exchange_s includes the exchange-free certificate that follows
+/// an idle exchange.
 struct StepPhaseTimings {
     double walk_s{0.0};
     double index_s{0.0};
@@ -159,11 +160,11 @@ public:
     /// Exchange-free steps: after a pass whose exchange taught nobody
     /// anything, and while no observer is attached, the process's
     /// certify() bounds how many of the next steps cannot change any
-    /// knowledge. Those steps only walk: they draw the same RNG words and
-    /// keep the spatial index current, but skip the component pass and
-    /// the exchange. After completion every step is exchange-free and the
-    /// index is no longer fed. Trajectories are bit-identical to the
-    /// always-full loop.
+    /// knowledge. Those steps only walk: they draw the same RNG words but
+    /// skip the component pass and the exchange; the next pass catches the
+    /// spatial index up with every move since the last one. After
+    /// completion every step is exchange-free. Trajectories are
+    /// bit-identical to the always-full loop.
     void step();
 
     /// Steps until the process is complete or `max_steps` is reached.
@@ -295,7 +296,6 @@ private:
 
     std::int64_t quiet_{0};  ///< certified exchange-free steps still ahead
     bool stale_{false};      ///< dsu_ lags the positions (a step since the last pass)
-    bool unindexed_{false};  ///< complete: the index stopped tracking moves
     bool timing_{false};
     double walk_seconds_{0.0};
     double rebuild_seconds_{0.0};
@@ -445,29 +445,13 @@ void StepLoop<Process>::step() {
     // Exchange-free step (certified by the last idle pass, or complete):
     // with nothing observing the partition, neither the component pass nor
     // the exchange can change observable state, so the step is the walk.
-    const bool saturated = process.complete();
-    const bool quiet = !process.observed() && (quiet_ > 0 || saturated);
-    // Node changes feed the incremental spatial index, quiet steps
-    // included: the dirty epoch stays open until the next pass, which then
-    // rescans every bucket touched since the last one. Past completion the
-    // quiet window never ends, so the walk stops feeding the index and the
-    // catch-up re-indexes from scratch instead. The choice is made once per
-    // step, outside the kernel: a per-move test of it costs ~10% of a
-    // sparse step.
-    unindexed_ = unindexed_ || (quiet && saturated);
-    const auto advance = [this, movers = process.movers()](auto&& on_move) {
-        if (movers.empty()) {
-            agents_.step_all(rng_, on_move);
-        } else {
-            agents_.step_subset(rng_, movers, on_move);
-        }
-    };
-    if (unindexed_) {
-        advance([](walk::AgentId, grid::Point, grid::Point) {});
+    const bool quiet = !process.observed() && (quiet_ > 0 || process.complete());
+    // The walk only writes positions; the next pass catches the spatial
+    // index up with every node change since the last one.
+    if (const auto movers = process.movers(); movers.empty()) {
+        agents_.step_all(rng_);
     } else {
-        advance([this](walk::AgentId a, grid::Point from, grid::Point to) {
-            builder_.on_move(a, from, to);
-        });
+        agents_.step_subset(rng_, movers);
     }
     stale_ = true;
     const auto t1 = stamp();
@@ -492,20 +476,14 @@ template <class Process>
 void StepLoop<Process>::refresh_components() {
     if (!stale_) return;  // no step since the last pass
     // One pass over every bucket dirtied since the last one (a single step,
-    // or a whole run of exchange-free steps), or a from-scratch re-index
-    // once the index stopped tracking moves. Accounted under the rebuild
+    // or a whole run of exchange-free steps). Accounted under the rebuild
     // phase so phase_timings() subtraction stays consistent.
     // smn-lint: allow(wall-clock) timing-only telemetry, gated behind timing_
     using clock = std::chrono::steady_clock;
     const auto t0 = timing_ ? clock::now() : clock::time_point{};
-    if (unindexed_) {
-        builder_.build(agents_.positions(), dsu_);
-    } else {
-        builder_.rebuild_components(agents_.positions(), dsu_);
-    }
+    builder_.rebuild_components(agents_.positions(), dsu_);
     if (timing_) rebuild_seconds_ += std::chrono::duration<double>(clock::now() - t0).count();
     stale_ = false;
-    unindexed_ = false;
 }
 
 /// Single-rumor dissemination process (broadcast; Frog model via config).

@@ -23,8 +23,9 @@
 // backends; the force-scalar CI leg replays the same goldens).
 //
 // Metrics: L1 and L∞ are 8-wide int32 lane math. Distances fit int32
-// because coordinates come from a Grid2D, whose node count fits int32
-// (side ≤ 46341 ⇒ |dx|+|dy| ≤ 92680). Squared Euclidean needs 64-bit
+// because the builder and core::validate_config refuse grid sides above
+// kMaxSide = 2^30 (visibility.hpp), so |dx|+|dy| ≤ 2^31 − 2. A radius of 0
+// is the co-location test. Squared Euclidean needs 64-bit
 // products, which AVX2/NEON cannot form from 32-bit lanes cheaply — and
 // no tracked scenario uses it — so it takes the scalar loop on every
 // backend, through the same masked interface.

@@ -16,10 +16,9 @@ namespace smn::graph {
 namespace {
 
 /// Coordinate-wise in-range test (metric resolved at compile time), the
-/// hot predicate of the pair scan. L1/L∞ stay in 32-bit arithmetic
-/// (coords are int32, so |dx|+|dy| < 2^32 cannot overflow a signed 64-bit
-/// add of two int32 — and fits int32 since coords are grid-bounded);
-/// squared Euclidean promotes to 64-bit.
+/// hot predicate of the pair scan. L1/L∞ stay in 32-bit arithmetic (grid
+/// sides are at most kMaxSide = 2^30, so |dx|, |dy| < 2^30 and their sum
+/// is added in 64 bits); squared Euclidean promotes to 64-bit.
 template <grid::Metric M>
 [[nodiscard]] inline bool within_coords(grid::Coord ax, grid::Coord ay, grid::Coord bx,
                                         grid::Coord by, std::int64_t radius) noexcept {
@@ -51,67 +50,40 @@ VisibilityGraphBuilder::VisibilityGraphBuilder(const grid::Grid2D& grid, std::in
                                                grid::Metric metric)
     : grid_{grid},
       radius_{radius},
-      rad32_{static_cast<grid::Coord>(
-          std::min<std::int64_t>(radius, std::numeric_limits<grid::Coord>::max()))},
+      rad32_{static_cast<grid::Coord>(radius)},
       metric_{metric},
-      // Each radius sizes only the structure it reads: at r = 0 the bucket
-      // index is one bucket, and at r >= 1 the occupancy map one node.
-      occupancy_{radius == 0 ? grid : grid::Grid2D{1, 1}},
-      buckets_{radius == 0
-                   ? spatial::BucketIndex{grid, std::max(grid.width(), grid.height())}
-                   : spatial::BucketIndex::for_radius(grid, radius)} {
-    if (radius_ >= 1) {
-        // Every in-range pair must lie in one bucket or two adjacent ones.
-        if (buckets_.bucket_side() < radius_) {
-            throw std::invalid_argument("VisibilityGraphBuilder: bucket side " +
-                                        std::to_string(buckets_.bucket_side()) +
-                                        " is smaller than radius " + std::to_string(radius_));
-        }
-        const auto bx_count = buckets_.buckets_x();
-        const auto by_count = buckets_.buckets_y();
-        const auto bucket_count = static_cast<std::size_t>(std::int64_t{bx_count} * by_count);
-        edge_flags_.resize(bucket_count);
-        std::size_t b = 0;
-        for (grid::Coord by = 0; by < by_count; ++by) {
-            for (grid::Coord bx = 0; bx < bx_count; ++bx, ++b) {
-                edge_flags_[b] = static_cast<std::uint8_t>((bx > 0 ? 1u : 0u) |
-                                                           (bx + 1 < bx_count ? 2u : 0u) |
-                                                           (by + 1 < by_count ? 4u : 0u));
-            }
-        }
-        entry_off_[0].assign(bucket_count, 0);
-        entry_off_[1].assign(bucket_count, 0);
-        entry_len_[0].assign(bucket_count, 0);
-        entry_len_[1].assign(bucket_count, 0);
-        entry_stamp_.assign(bucket_count, 0);
-        taint_stamp_.assign(bucket_count, 0);
+      buckets_{grid, std::max(grid.width(), grid.height())} {
+    if (radius < 0 || radius > std::numeric_limits<grid::Coord>::max()) {
+        throw std::invalid_argument("VisibilityGraphBuilder: radius " + std::to_string(radius) +
+                                    " is outside [0, 2^31)");
+    }
+    if (grid.width() > kMaxSide || grid.height() > kMaxSide) {
+        throw std::invalid_argument("VisibilityGraphBuilder: grid side above 2^30");
     }
 }
 
 void VisibilityGraphBuilder::build(std::span<const grid::Point> positions, DisjointSets& dsu) {
-    dsu.reset(positions.size());
-    if (radius_ == 0) {
-        // Co-location: union every agent on a node with the node's first
-        // agent; O(k) total.
-        ++stats_.passes;
-        occupancy_.rebuild(positions);
-        for (const auto node : occupancy_.occupied_nodes()) {
-            const auto first = occupancy_.first_at(grid_.point_of(node));
-            occupancy_.for_each_at(grid_.point_of(node),
-                                   [&](std::int32_t a) { dsu.unite(first, a); });
+    // Every in-range pair lies in one bucket or two adjacent ones: the
+    // side is at least r.
+    const auto side = spatial::BucketIndex::side_for(grid_, positions.size(), radius_);
+    if (side != buckets_.bucket_side() || entry_stamp_.empty()) {
+        buckets_.resize(side);
+        const auto bucket_count = buckets_.bucket_count();
+        for (int i = 0; i < 2; ++i) {
+            entry_off_[i].assign(bucket_count, 0);
+            entry_len_[i].assign(bucket_count, 0);
         }
-        return;
+        entry_stamp_.assign(bucket_count, 0);
+        taint_stamp_.assign(bucket_count, 0);
     }
+    reach_ = static_cast<grid::Coord>((radius_ + side - 1) / side);
     buckets_.rebuild(positions);
+    dsu.reset(positions.size());
     component_pass(positions, dsu, /*force_rescan=*/true);
 }
 
 void VisibilityGraphBuilder::rebuild_components(std::span<const grid::Point> positions,
                                                 DisjointSets& dsu) {
-    if (radius_ == 0) {
-        build(positions, dsu);
-        return;
-    }
     dsu.reset(positions.size());
     component_pass(positions, dsu, /*force_rescan=*/false);
 }
@@ -120,10 +92,12 @@ void VisibilityGraphBuilder::component_pass(std::span<const grid::Point> positio
                                             DisjointSets& dsu, bool force_rescan) {
     ++seq_;
     ++stats_.passes;
-    stats_.dirty_buckets += static_cast<std::int64_t>(buckets_.dirty_buckets().size());
     // smn-lint: allow(wall-clock) timing-only telemetry, gated behind timing_
     using clock = std::chrono::steady_clock;
     const auto prep_begin = timing_ ? clock::now() : clock::time_point{};
+    // The index catches up with every node change since the last pass.
+    buckets_.sync(positions);
+    stats_.dirty_buckets += static_cast<std::int64_t>(buckets_.dirty_buckets().size());
     // Bypass heuristic: once half the occupied buckets are dirty, taint
     // expansion makes nearly every footprint dirty anyway, so cache
     // maintenance can only cost. Build()s force a cached pass so the very
@@ -136,15 +110,9 @@ void VisibilityGraphBuilder::component_pass(std::span<const grid::Point> positio
     if (timing_) {
         prep_seconds_ += std::chrono::duration<double>(clock::now() - prep_begin).count();
     }
-    const bool dense = buckets_.occupied_bucket_count() * 2 >= entry_stamp_.size();
     const auto dispatch = [&]<grid::Metric M>() {
-        if (dense) {
-            bypass ? row_window_pass<M, true>(positions, dsu, force_rescan)
-                   : row_window_pass<M, false>(positions, dsu, force_rescan);
-        } else {
-            bypass ? serial_pass<M, true>(positions, dsu, force_rescan)
-                   : serial_pass<M, false>(positions, dsu, force_rescan);
-        }
+        bypass ? row_window_pass<M, true>(positions, dsu, force_rescan)
+               : row_window_pass<M, false>(positions, dsu, force_rescan);
     };
     switch (metric_) {
         case grid::Metric::kManhattan:
@@ -170,6 +138,7 @@ void VisibilityGraphBuilder::expand_taint() {
         const auto dx0 = static_cast<grid::Coord>(d % bx_count);
         const auto dy0 = static_cast<grid::Coord>(d / bx_count);
         taint_stamp_[static_cast<std::size_t>(d)] = seq_;
+        if (reach_ == 0) continue;
         for (const auto& [dx, dy] : kTaintBack) {
             const auto nx = dx0 + dx;
             const auto ny = dy0 + dy;
@@ -179,26 +148,22 @@ void VisibilityGraphBuilder::expand_taint() {
     }
 }
 
-void VisibilityGraphBuilder::prepare_scratch(std::size_t k, bool mini) {
-    if (!mini) return;
+void VisibilityGraphBuilder::prepare_scratch(std::size_t k) {
     scratch_.parent.resize(k);
     scratch_.stamp.resize(k, 0);
 }
 
-/// The shared pair sink: with kFilter, deduplicate through the unit-local
-/// mini-DSU and keep only spanning survivors; unite what remains into the
-/// DSU and, on the cached path, append it to the edge buffer (`out`).
-template <bool kFilter>
+/// The cached path's pair sink: deduplicate through the unit-local
+/// mini-DSU and keep only spanning survivors, which are united into the
+/// DSU and appended to the unit's edge list `out`.
 void VisibilityGraphBuilder::record_pair(std::int32_t a, std::int32_t b,
-                                         std::vector<CachedEdge>* out, DisjointSets& dsu) {
+                                         std::vector<CachedEdge>& out, DisjointSets& dsu) {
     SMN_TALLY(++stats_.pairs_survived);
-    if constexpr (kFilter) {
-        const auto ra = mini_find(a);
-        const auto rb = mini_find(b);
-        if (ra == rb) return;
-        scratch_.parent[static_cast<std::size_t>(rb)] = ra;
-    }
-    if (out != nullptr) out->push_back(CachedEdge{a, b});
+    const auto ra = mini_find(a);
+    const auto rb = mini_find(b);
+    if (ra == rb) return;
+    scratch_.parent[static_cast<std::size_t>(rb)] = ra;
+    out.push_back(CachedEdge{a, b});
     dsu.unite(a, b);
 }
 
@@ -217,108 +182,6 @@ std::int32_t VisibilityGraphBuilder::mini_find(std::int32_t x) noexcept {
         xi = static_cast<std::size_t>(x);
     }
     return x;
-}
-
-/// Enumerates the scan unit of `bucket`: gathers the bucket's members into
-/// the scratch slice, then pairs it with itself and its forward
-/// half-neighborhood (walking the neighbors' intrusive lists directly —
-/// at percolation-scale occupancy a list is 1–2 nodes, cheaper than any
-/// per-step re-materialization). With kFilter, in-range pairs go through
-/// the unit-local mini-DSU and only survivors reach `out` / `dsu` (the
-/// cached path); without it every in-range pair does (the bypass path,
-/// where `out` is null).
-template <grid::Metric M, bool kFilter>
-void VisibilityGraphBuilder::scan_unit(std::int64_t bucket,
-                                       std::span<const grid::Point> positions,
-                                       std::vector<CachedEdge>* out, DisjointSets& dsu) {
-    if constexpr (kFilter) ++scratch_.epoch;
-    scratch_.ids.clear();
-    scratch_.xs.clear();
-    scratch_.ys.clear();
-    buckets_.for_each_in_bucket(bucket, [&](std::int32_t a) {
-        const auto p = positions[static_cast<std::size_t>(a)];
-        scratch_.ids.push_back(a);
-        scratch_.xs.push_back(p.x);
-        scratch_.ys.push_back(p.y);
-    });
-    const auto len = scratch_.ids.size();
-    // Padding owed to the masked in-range kernel (range_filter.hpp).
-    scratch_.xs.resize(len + kRangePad);
-    scratch_.ys.resize(len + kRangePad);
-
-    const auto found = [&](std::int32_t a, std::int32_t b) {
-        record_pair<kFilter>(a, b, out, dsu);
-    };
-
-    // Self pairs.
-    SMN_TALLY(stats_.pairs_tested +=
-              len >= 2 ? static_cast<std::int64_t>(len) * (static_cast<std::int64_t>(len) - 1) / 2
-                       : 0);
-    for (std::size_t i = 0; i + 1 < len; ++i) {
-        const auto xi = scratch_.xs[i];
-        const auto yi = scratch_.ys[i];
-        for (std::size_t j = i + 1; j < len; ++j) {
-            if (within_coords<M>(xi, yi, scratch_.xs[j], scratch_.ys[j], radius_)) {
-                found(scratch_.ids[i], scratch_.ids[j]);
-            }
-        }
-    }
-
-    /// Pairs the gathered slice against one forward neighbor's list: one
-    /// masked in-range test per ≤8-lane chunk of the slice, survivors
-    /// iterated in ascending lane order (= the scalar scan order).
-    const auto cross = [&](std::int64_t nb) {
-        buckets_.for_each_in_bucket(nb, [&](std::int32_t b) {
-            SMN_TALLY(stats_.pairs_tested += static_cast<std::int64_t>(len));
-            const auto p = positions[static_cast<std::size_t>(b)];
-            for (std::size_t i = 0; i < len; i += kRangeLanes) {
-                auto bits = in_range_mask8<M>(scratch_.xs.data() + i, scratch_.ys.data() + i,
-                                              std::min(kRangeLanes, len - i), p.x, p.y, rad32_);
-                for (; bits != 0; bits &= bits - 1) {
-                    const auto lane = static_cast<std::size_t>(std::countr_zero(bits));
-                    found(scratch_.ids[i + lane], b);
-                }
-            }
-        });
-    };
-
-    // E / SW / S / SE; neighbor existence is static geometry (edge_flags_).
-    const auto flags = edge_flags_[static_cast<std::size_t>(bucket)];
-    if (flags & 2u) cross(bucket + 1);
-    if (flags & 4u) {
-        const auto south = bucket + buckets_.buckets_x();
-        if (flags & 1u) cross(south - 1);
-        cross(south);
-        if (flags & 2u) cross(south + 1);
-    }
-}
-
-/// The sparse per-unit pass: walk the occupied units in row-major order;
-/// replay clean units from the previous arena and rescan dirty ones
-/// (leaving fresh entries), or — with kBypass — rescan everything straight
-/// into the DSU with no cache interaction at all. Entry stamps going stale
-/// under bypass is what makes the next cached pass rescan everything once.
-template <grid::Metric M, bool kBypass>
-void VisibilityGraphBuilder::serial_pass(std::span<const grid::Point> positions,
-                                         DisjointSets& dsu, bool force_rescan) {
-    prepare_scratch(positions.size(), !kBypass);
-    if constexpr (!kBypass) arena_[seq_ & 1].clear();
-
-    // Row-major unit order: the sorted occupied list (this pass only runs
-    // when buckets far outnumber occupied ones, so no full sweep).
-    const auto occupied = buckets_.occupied_buckets();
-    units_.assign(occupied.begin(), occupied.end());
-    std::sort(units_.begin(), units_.end());
-    for (const auto b : units_) {
-        if constexpr (kBypass) {
-            ++stats_.rescanned_units;
-            scan_unit<M, false>(b, positions, nullptr, dsu);
-        } else {
-            replay_or_rescan(b, force_rescan, dsu, [&](std::vector<CachedEdge>& arena_out) {
-                scan_unit<M, true>(b, positions, &arena_out, dsu);
-            });
-        }
-    }
 }
 
 /// Gathers one bucket row into `buf`: per-bucket slices in list order,
@@ -354,21 +217,22 @@ void VisibilityGraphBuilder::gather_row(grid::Coord row, std::span<const grid::P
     buf.off[static_cast<std::size_t>(bx_count)] = n;
 }
 
-/// scan_unit over the rolling window: identical pair enumeration order,
-/// but every slice read is L1-resident. `south_row` is null on the last
-/// bucket row.
-template <grid::Metric M, bool kFilter>
-void VisibilityGraphBuilder::scan_unit_window(const RowBuffer& self_row,
-                                              const RowBuffer* south_row, grid::Coord bx,
-                                              std::vector<CachedEdge>* out, DisjointSets& dsu) {
-    if constexpr (kFilter) ++scratch_.epoch;
+/// Rescans the unit of bucket `bx` of `self_row` on the cached path: its
+/// in-range pairs (self, E, then the merged SW|S|SE range) go through the
+/// unit-local mini-DSU, and the survivors are united into `dsu` and
+/// appended to `out`. Every slice read is L1-resident; `south_row` is null
+/// on the last bucket row and when the footprint is the unit's own bucket
+/// alone (reach_ = 0), and the E neighbor is then skipped too.
+template <grid::Metric M>
+void VisibilityGraphBuilder::enumerate_unit(const RowBuffer& self_row,
+                                            const RowBuffer* south_row, grid::Coord bx,
+                                            std::vector<CachedEdge>& out, DisjointSets& dsu) {
+    ++scratch_.epoch;
     const auto bx_count = buckets_.buckets_x();
     const auto off = static_cast<std::size_t>(self_row.off[static_cast<std::size_t>(bx)]);
     const auto end = static_cast<std::size_t>(self_row.off[static_cast<std::size_t>(bx) + 1]);
 
-    const auto found = [&](std::int32_t a, std::int32_t b) {
-        record_pair<kFilter>(a, b, out, dsu);
-    };
+    const auto found = [&](std::int32_t a, std::int32_t b) { record_pair(a, b, out, dsu); };
 
     // Self pairs.
     SMN_TALLY(stats_.pairs_tested +=
@@ -386,12 +250,10 @@ void VisibilityGraphBuilder::scan_unit_window(const RowBuffer& self_row,
     }
 
     /// Pairs the unit's slice against a contiguous range of a row buffer,
-    /// neighbor-member outer — row buffers are bucket-ordered, so the
-    /// merged SW|S|SE range enumerates members in exactly the order the
-    /// per-bucket cross calls of scan_unit do (the union sequence is
-    /// independent of the pass chosen). Both shapes run the masked in-range kernel
-    /// (range_filter.hpp) and walk the survivor bits in ascending lane
-    /// order, so the pair order matches the scalar loops they replaced.
+    /// neighbor-member outer; row buffers are bucket-ordered, so the
+    /// merged SW|S|SE range enumerates SW, S, then SE members. Both shapes
+    /// run the masked in-range kernel (range_filter.hpp) and walk the
+    /// survivor bits in ascending lane order, the scalar loop's order.
     const auto cross_range = [&](const RowBuffer& row, std::size_t noff, std::size_t nend) {
         SMN_TALLY(stats_.pairs_tested +=
                   static_cast<std::int64_t>(nend - noff) * static_cast<std::int64_t>(end - off));
@@ -428,7 +290,7 @@ void VisibilityGraphBuilder::scan_unit_window(const RowBuffer& self_row,
         }
     };
 
-    if (bx + 1 < bx_count) {  // E
+    if (reach_ > 0 && bx + 1 < bx_count) {  // E
         cross_range(self_row,
                     static_cast<std::size_t>(self_row.off[static_cast<std::size_t>(bx) + 1]),
                     static_cast<std::size_t>(self_row.off[static_cast<std::size_t>(bx) + 2]));
@@ -441,14 +303,20 @@ void VisibilityGraphBuilder::scan_unit_window(const RowBuffer& self_row,
     }
 }
 
-/// The dense serial pass as a rolling two-row window: row R+1 is gathered
+/// The component pass as a rolling two-row window: row R+1 is gathered
 /// while row R's units are scanned, so the whole footprint of every unit
-/// lives in two compact row buffers.
+/// lives in two compact row buffers. Clean units replay from the previous
+/// arena and dirty ones are rescanned (leaving fresh entries), or — with
+/// kBypass — every unit's pairs go straight into the DSU with no cache
+/// interaction at all. Entry stamps going stale under bypass is what makes
+/// the next cached pass rescan everything once.
 template <grid::Metric M, bool kBypass>
 void VisibilityGraphBuilder::row_window_pass(std::span<const grid::Point> positions,
                                              DisjointSets& dsu, bool force_rescan) {
-    prepare_scratch(positions.size(), !kBypass);
-    if constexpr (!kBypass) arena_[seq_ & 1].clear();
+    if constexpr (!kBypass) {
+        prepare_scratch(positions.size());
+        arena_[seq_ & 1].clear();
+    }
 
     const auto bx_count = buckets_.buckets_x();
     const auto by_count = buckets_.buckets_y();
@@ -458,21 +326,21 @@ void VisibilityGraphBuilder::row_window_pass(std::span<const grid::Point> positi
         auto& self_row = rows_[static_cast<std::size_t>(row & 1)];
         RowBuffer* south_row = nullptr;
         if (row + 1 < by_count) {
-            south_row = &rows_[static_cast<std::size_t>((row + 1) & 1)];
-            gather_row(row + 1, positions, *south_row);
+            auto& next_row = rows_[static_cast<std::size_t>((row + 1) & 1)];
+            gather_row(row + 1, positions, next_row);
+            if (reach_ > 0) south_row = &next_row;
         }
         const auto base = std::int64_t{row} * bx_count;
         if constexpr (!kBypass) {
             for (const auto bx : self_row.occ) {
                 replay_or_rescan(base + bx, force_rescan, dsu,
                                  [&](std::vector<CachedEdge>& arena_out) {
-                                     scan_unit_window<M, true>(self_row, south_row, bx,
-                                                               &arena_out, dsu);
+                                     enumerate_unit<M>(self_row, south_row, bx, arena_out, dsu);
                                  });
             }
         } else {
             // Bypass: enumerate the row's pairs into the staging arrays —
-            // same pairs in the same order as scan_unit / scan_unit_window
+            // same pairs in the same order as enumerate_unit
             // (mask-compress keeps the ascending lane order), but with the
             // branchy survivor walks and DSU unions hoisted out of the
             // per-unit control flow. One tight union loop then drains the
@@ -510,7 +378,7 @@ void VisibilityGraphBuilder::row_window_pass(std::span<const grid::Point> positi
                                                   pair_b_.data() + np);
                         }
                     };
-                    if (bx + 1 < bx_count) {
+                    if (reach_ > 0 && bx + 1 < bx_count) {
                         sweep(self_row, e,
                               static_cast<std::size_t>(
                                   self_row.off[static_cast<std::size_t>(bx) + 2]));
@@ -560,7 +428,7 @@ void VisibilityGraphBuilder::row_window_pass(std::span<const grid::Point> positi
                             }
                         }
                     };
-                    if (bx + 1 < bx_count) {
+                    if (reach_ > 0 && bx + 1 < bx_count) {
                         cross(self_row, e,
                               static_cast<std::size_t>(
                                   self_row.off[static_cast<std::size_t>(bx) + 2]));

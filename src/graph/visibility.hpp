@@ -8,11 +8,14 @@
 // the builder unions agents directly into a DisjointSets via the spatial
 // index.
 //
-//  * r = 0  — co-location only; uses OccupancyMap, O(k).
-//  * r ≥ 1  — BucketIndex with bucket side r; each scan *unit* is an
-//             occupied bucket paired with itself and its forward
-//             half-neighborhood (E, SW, S, SE), so every unordered
-//             in-range pair is covered by exactly one unit.
+// One structure and one pass serve every r ≥ 0 (r = 0 is co-location):
+// build() sizes a BucketIndex with BucketIndex::side_for — bucket side
+// max(r, 1, bit_floor(⌊√(n/k)⌋)), so at most about 4k buckets and O(k)
+// memory and setup on any grid — and each scan *unit* is an occupied
+// bucket paired with itself and its forward half-neighborhood (E, SW, S,
+// SE), so every unordered in-range pair is covered by exactly one unit.
+// At r = 0 the unit is its own bucket alone: co-located agents always
+// share one. The pass walks the bucket rows as a rolling two-row window.
 //
 // Dirty-region component pass (PR 4): per scan unit the builder caches the
 // *reduced spanning edges* — the subset of the unit's in-range pairs that
@@ -35,17 +38,17 @@
 // a single union sequence.
 //
 // Two usage protocols:
-//  * build() — one-shot: (re)index the positions and compute components.
-//  * incremental — build() (or any prior build) indexes the storage once;
-//    afterwards call begin_step() before a step's moves, report every node
-//    change via on_move(), and call rebuild_components() to recompute the
-//    partition from the maintained index + edge cache. Components cannot
-//    be maintained under edge *deletions*, so the DSU is always
-//    recomputed; the savings are the spatial index and the clean-region
-//    replay. (begin_step() is optional when every rebuild consumes the
-//    moves since the previous one, as rebuild_components() closes the
-//    dirty epoch itself. An epoch may span several steps' moves: the
-//    engine leaves it open across exchange-free steps.)
+//  * build() — one-shot: size and (re)index the positions and compute
+//    components.
+//  * incremental — after build(), the caller moves agents by writing the
+//    positions and calls rebuild_components(), which first catches the
+//    index up (an O(k) compare of every position with the node the index
+//    last saw; only the changed agents are relinked and dirty their
+//    buckets) and then recomputes the partition from the index + edge
+//    cache. That catch-up is the only way the index learns of moves.
+//    Components cannot be maintained under edge *deletions*, so the DSU
+//    is always recomputed; the savings are the spatial index and the
+//    clean-region replay.
 //
 // ComponentStats summarizes a partition: component count, maximum size
 // ("islands" of Definition 2 / Lemma 6), size histogram, and the largest
@@ -61,9 +64,13 @@
 #include "grid/point.hpp"
 #include "obs/tally.hpp"
 #include "spatial/bucket_index.hpp"
-#include "spatial/occupancy.hpp"
 
 namespace smn::graph {
+
+/// Largest grid side the pair scan supports. Coordinates then differ by at
+/// most 2^30 − 1 per axis, so an L1 distance, at most 2^31 − 2, fits the
+/// int32 lanes of range_filter.hpp. core::validate_config enforces it.
+inline constexpr grid::Coord kMaxSide = grid::Coord{1} << 30;
 
 /// Builds connected components of G_t(r) into `dsu` (which is reset).
 /// Reusable across steps: keeps its spatial structures and edge cache
@@ -87,44 +94,37 @@ public:
     };
 
     /// `radius` is the transmission radius r >= 0; `metric` defaults to the
-    /// paper's Manhattan metric. Throws std::invalid_argument when the
-    /// bucket index cannot be sized to a side >= r (the scan only pairs
-    /// adjacent buckets).
+    /// paper's Manhattan metric. Allocates nothing grid-sized: build()
+    /// sizes the index. Throws std::invalid_argument when r is negative or
+    /// does not fit the scan's 32-bit lanes (r >= 2^31), or when a grid
+    /// side exceeds kMaxSide.
     VisibilityGraphBuilder(const grid::Grid2D& grid, std::int64_t radius,
                            grid::Metric metric = grid::Metric::kManhattan);
 
-    /// Computes the components of G_t(r) for the given positions,
-    /// (re)indexing them from scratch. The positions storage must stay
-    /// alive and in place for as long as the incremental protocol below is
-    /// used. Postcondition: dsu.element_count() == positions.size().
+    /// Computes the components of G_t(r) for the given positions, sizing
+    /// the index for positions.size() agents (BucketIndex::side_for) and
+    /// (re)indexing them from scratch. Postcondition:
+    /// dsu.element_count() == positions.size().
     void build(std::span<const grid::Point> positions, DisjointSets& dsu);
 
-    /// Incremental protocol, step 0: open a fresh dirty epoch before the
-    /// step's moves. Optional when rebuild_components() runs after every
-    /// batch of moves (it closes the epoch itself).
-    void begin_step() noexcept {
-        if (radius_ >= 1) buckets_.begin_step();
-    }
+    /// No-ops, kept because e2ebench/harness.cpp calls them: every pass
+    /// closes its dirty epoch, so each step already starts a fresh one, and
+    /// rebuild_components() finds every node change itself.
+    void begin_step() noexcept {}
+    void on_move(std::int32_t /*agent*/, grid::Point /*from*/, grid::Point /*to*/) noexcept {}
 
-    /// Incremental protocol, step 1: tell the index one agent changed node.
-    /// Call after writing the new position into the indexed storage. O(1).
-    void on_move(std::int32_t agent, grid::Point from, grid::Point to) {
-        if (radius_ >= 1) buckets_.move(agent, from, to);
-    }
-
-    /// Incremental protocol, step 2: recompute the components from the
-    /// incrementally maintained index and the spanning-edge cache.
-    /// `positions` must be the same storage last passed to build(), with
-    /// every node change since then reported through on_move(). (For r = 0
-    /// this simply delegates to build — the occupancy rebuild is already
-    /// O(k) with a small constant.) Closes the dirty epoch.
+    /// Incremental protocol: catch the index up with `positions` (the same
+    /// agents as the last build(), in any storage) and recompute the
+    /// components from the index and the spanning-edge cache. Closes the
+    /// dirty epoch. Throws std::invalid_argument when the agent count
+    /// differs from the last build().
     void rebuild_components(std::span<const grid::Point> positions, DisjointSets& dsu);
 
     [[nodiscard]] std::int64_t radius() const noexcept { return radius_; }
     [[nodiscard]] grid::Metric metric() const noexcept { return metric_; }
 
     /// Enables wall-clock attribution of the rebuild's index-prep portion
-    /// (unit enumeration + taint expansion); read it via prep_seconds().
+    /// (index sync + taint expansion); read it via prep_seconds().
     void set_timing(bool on) noexcept { timing_ = on; }
 
     /// Cumulative seconds spent in index prep across all rebuilds (0 until
@@ -141,15 +141,14 @@ public:
     /// Full cumulative scan telemetry (see ScanStats).
     [[nodiscard]] const ScanStats& scan_stats() const noexcept { return stats_; }
 
-    /// Telemetry of the underlying bucket index (zero-valued for r = 0).
+    /// Telemetry of the underlying bucket index.
     [[nodiscard]] const spatial::BucketIndex::Stats& index_stats() const noexcept {
         return buckets_.stats();
     }
 
-    /// Occupied scan units right now (0 for r = 0, where there are no scan
-    /// units — the occupancy path visits cells, not buckets).
+    /// Occupied scan units right now.
     [[nodiscard]] std::int64_t occupied_units() const noexcept {
-        return radius_ >= 1 ? static_cast<std::int64_t>(buckets_.occupied_bucket_count()) : 0;
+        return static_cast<std::int64_t>(buckets_.occupied_bucket_count());
     }
 
     /// Brute-force O(k²) reference builder used by tests.
@@ -163,19 +162,15 @@ private:
         std::int32_t b;
     };
 
-    /// Scan scratch: the gathered slice of the unit's own bucket plus an
-    /// epoch-stamped mini-DSU over agent ids (local to one scan unit at a
-    /// time; only used on the cached path).
+    /// Epoch-stamped mini-DSU over agent ids, local to one scan unit at a
+    /// time (only used on the cached path).
     struct ScanScratch {
-        std::vector<std::int32_t> ids;
-        std::vector<grid::Coord> xs;
-        std::vector<grid::Coord> ys;
         std::vector<std::int32_t> parent;
         std::vector<std::uint64_t> stamp;
         std::uint64_t epoch{0};
     };
 
-    /// One gathered row of buckets for the rolling-window serial scan:
+    /// One gathered row of buckets for the rolling-window scan:
     /// per-bucket slices (off[bx]..off[bx+1]) of ids and coordinates, in
     /// list order. Two of these cover a unit's whole footprint and
     /// stay L1-resident, so each agent's position is loaded from the
@@ -192,29 +187,20 @@ private:
                         bool force_rescan);
     void expand_taint();
     template <grid::Metric M, bool kBypass>
-    void serial_pass(std::span<const grid::Point> positions, DisjointSets& dsu,
-                     bool force_rescan);
-    template <grid::Metric M, bool kBypass>
     void row_window_pass(std::span<const grid::Point> positions, DisjointSets& dsu,
                          bool force_rescan);
     void gather_row(grid::Coord row, std::span<const grid::Point> positions, RowBuffer& buf);
-    template <grid::Metric M, bool kFilter>
-    void scan_unit_window(const RowBuffer& self_row, const RowBuffer* south_row,
-                          grid::Coord bx, std::vector<CachedEdge>* out, DisjointSets& dsu);
-    template <grid::Metric M, bool kFilter>
-    void scan_unit(std::int64_t bucket, std::span<const grid::Point> positions,
-                   std::vector<CachedEdge>* out, DisjointSets& dsu);
-    void prepare_scratch(std::size_t k, bool mini);
-    template <bool kFilter>
-    void record_pair(std::int32_t a, std::int32_t b, std::vector<CachedEdge>* out,
+    template <grid::Metric M>
+    void enumerate_unit(const RowBuffer& self_row, const RowBuffer* south_row, grid::Coord bx,
+                        std::vector<CachedEdge>& out, DisjointSets& dsu);
+    void prepare_scratch(std::size_t k);
+    void record_pair(std::int32_t a, std::int32_t b, std::vector<CachedEdge>& out,
                      DisjointSets& dsu);
 
-    /// The shared replay-or-rescan step of the cached serial passes:
-    /// replay `bucket`'s previous entry into the current arena and `dsu`
-    /// if its footprint is clean, else run `rescan(arena)` (which must
-    /// append the unit's surviving edges to the passed arena and unite
-    /// them). All entry bookkeeping lives here so the passes cannot
-    /// diverge.
+    /// The replay-or-rescan step of the cached pass: replay `bucket`'s
+    /// previous entry into the current arena and `dsu` if its footprint is
+    /// clean, else run `rescan(arena)` (which must append the unit's
+    /// surviving edges to the passed arena and unite them).
     template <typename Rescan>
     void replay_or_rescan(std::int64_t bucket, bool force_rescan, DisjointSets& dsu,
                           Rescan&& rescan) {
@@ -248,14 +234,13 @@ private:
 
     grid::Grid2D grid_;
     std::int64_t radius_;
-    grid::Coord rad32_;  ///< radius clamped to int32 for the lane kernels
+    grid::Coord rad32_;  ///< radius_ as the lane kernels' int32
     grid::Metric metric_;
-    spatial::OccupancyMap occupancy_;  ///< used when radius == 0 (one node otherwise)
-    spatial::BucketIndex buckets_;     ///< used when radius >= 1 (one bucket otherwise)
-
-    // Scan geometry: bucket side >= r, so a unit's footprint is its bucket
-    // plus E, SW, S, SE; the per-bucket boundary flags are static geometry.
-    std::vector<std::uint8_t> edge_flags_;  ///< bucket -> W/E/S-neighbor existence
+    spatial::BucketIndex buckets_;  ///< one bucket until build() sizes it
+    /// Neighbor-bucket rings of a unit's footprint, ⌈r / bucket side⌉: 1,
+    /// or 0 at r = 0, where co-located agents always share a bucket and
+    /// the footprint is the unit's own bucket.
+    grid::Coord reach_{1};
 
     // Spanning-edge cache: double-buffered arena + per-bucket entries.
     std::vector<CachedEdge> arena_[2];
@@ -265,8 +250,7 @@ private:
     std::vector<std::uint64_t> taint_stamp_;  ///< bucket -> seq of last taint
     std::uint64_t seq_{0};                    ///< rebuild sequence number
 
-    std::vector<std::int64_t> units_;   ///< occupied buckets, row-major order
-    RowBuffer rows_[2];                 ///< rolling window of the serial scan
+    RowBuffer rows_[2];                 ///< rolling window of the scan
     std::vector<std::int32_t> pair_a_;  ///< bypass pair staging, first ids
     std::vector<std::int32_t> pair_b_;  ///< bypass pair staging, second ids
     ScanScratch scratch_;

@@ -71,6 +71,14 @@ enum class Metric : std::uint8_t {
     return false;  // unreachable
 }
 
+/// ⌊√v⌋ for v >= 0, exact: the double estimate is corrected in integers.
+[[nodiscard]] inline std::int64_t isqrt(std::int64_t v) noexcept {
+    auto s = static_cast<std::int64_t>(std::sqrt(static_cast<double>(v)));
+    while (s * s > v) --s;
+    while ((s + 1) * (s + 1) <= v) ++s;
+    return s;
+}
+
 /// Distance under the selected metric (Euclidean returns floor of the true
 /// distance; use `within` for exact radius tests).
 [[nodiscard]] inline std::int64_t distance(Point a, Point b, Metric metric) noexcept {

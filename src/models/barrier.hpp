@@ -70,8 +70,8 @@ private:
     std::vector<std::uint8_t> informed_;
     std::int32_t informed_count_{0};
     std::int64_t t_{0};
-    // Intrusive per-node occupancy (same structure as spatial::OccupancyMap,
-    // over the obstacle grid's id space).
+    // Intrusive per-node occupancy lists over the obstacle grid's id space
+    // (head per node, next per agent, occupied nodes for O(k) clears).
     std::vector<std::int32_t> head_;
     std::vector<std::int32_t> next_;
     std::vector<grid::NodeId> dirty_;

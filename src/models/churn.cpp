@@ -1,5 +1,6 @@
 #include "models/churn.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "walk/ensemble.hpp"
@@ -10,7 +11,8 @@ ChurnBroadcast::ChurnBroadcast(const ChurnConfig& config)
     : config_{config},
       rng_{config.seed},
       grid_{grid::Grid2D::square(config.side)},
-      occupancy_{grid_} {
+      colocation_{grid_, 0},
+      components_{0} {
     if (config.k < 1) throw std::invalid_argument("ChurnBroadcast: k must be >= 1");
     if (config.churn_rate < 0.0 || config.churn_rate > 1.0) {
         throw std::invalid_argument("ChurnBroadcast: churn_rate must be in [0, 1]");
@@ -20,6 +22,7 @@ ChurnBroadcast::ChurnBroadcast(const ChurnConfig& config)
         positions_.push_back(walk::AgentEnsemble::random_node(grid_, rng_));
     }
     informed_.assign(static_cast<std::size_t>(config.k), 0);
+    root_informed_.assign(static_cast<std::size_t>(config.k), 0);
     informed_[0] = 1;
     informed_count_ = 1;
     exchange();  // t = 0
@@ -49,21 +52,21 @@ void ChurnBroadcast::step() {
 }
 
 void ChurnBroadcast::exchange() {
-    occupancy_.rebuild(positions_);
-    for (const auto node : occupancy_.occupied_nodes()) {
-        const auto point = grid_.point_of(node);
-        bool any_informed = false;
-        occupancy_.for_each_at(point, [&](std::int32_t a) {
-            any_informed = any_informed || informed_[static_cast<std::size_t>(a)] != 0;
-        });
-        if (!any_informed) continue;
-        occupancy_.for_each_at(point, [&](std::int32_t a) {
-            auto& flag = informed_[static_cast<std::size_t>(a)];
-            if (!flag) {
-                flag = 1;
-                ++informed_count_;
-            }
-        });
+    // The engine's rule at r = 0: every component of co-located agents
+    // with an informed member becomes fully informed.
+    colocation_.build(positions_, components_);
+    std::fill(root_informed_.begin(), root_informed_.end(), std::uint8_t{0});
+    for (std::int32_t a = 0; a < config_.k; ++a) {
+        if (informed_[static_cast<std::size_t>(a)]) {
+            root_informed_[static_cast<std::size_t>(components_.find(a))] = 1;
+        }
+    }
+    for (std::int32_t a = 0; a < config_.k; ++a) {
+        auto& flag = informed_[static_cast<std::size_t>(a)];
+        if (!flag && root_informed_[static_cast<std::size_t>(components_.find(a))]) {
+            flag = 1;
+            ++informed_count_;
+        }
     }
 }
 

@@ -21,10 +21,11 @@
 #include <optional>
 #include <vector>
 
+#include "graph/dsu.hpp"
+#include "graph/visibility.hpp"
 #include "grid/grid.hpp"
 #include "grid/point.hpp"
 #include "rng/rng.hpp"
-#include "spatial/occupancy.hpp"
 #include "walk/step.hpp"
 
 namespace smn::models {
@@ -74,7 +75,9 @@ private:
     std::int32_t informed_count_{0};
     std::int64_t replacements_{0};
     std::int64_t t_{0};
-    spatial::OccupancyMap occupancy_;
+    graph::VisibilityGraphBuilder colocation_;  ///< r = 0: agents sharing a node
+    graph::DisjointSets components_;
+    std::vector<std::uint8_t> root_informed_;  ///< scratch, size k
 };
 
 /// Convenience driver.

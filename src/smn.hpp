@@ -26,7 +26,6 @@
 #include "graph/percolation.hpp"    // r_c, γ, regimes
 #include "graph/visibility.hpp"     // components of G_t(r)
 #include "spatial/bucket_index.hpp"
-#include "spatial/occupancy.hpp"
 
 // The paper's contribution
 #include "core/bounds.hpp"          // every closed-form bound

@@ -165,6 +165,50 @@ TEST(Engine, RejectsUndeclaredEnumerators) {
     }
 }
 
+// Coordinates on a side above 2^30 can differ by 2^31 − 1 per axis, and
+// their L1 sum overflows the pair scan's int32 lanes. Both processes
+// refuse such a side, fresh and restored, before sizing anything from it.
+TEST(Engine, RefusesSidesAboveTwoToTheThirty) {
+    EngineConfig base;
+    base.side = 16;
+    base.k = 2;
+    base.radius = 1;
+    auto cfg = base;
+    cfg.side = graph::kMaxSide + 1;
+    EXPECT_THROW(BroadcastProcess{cfg}, std::invalid_argument);
+    EXPECT_THROW(GossipProcess{cfg}, std::invalid_argument);
+    auto broadcast = BroadcastProcess{base}.capture();
+    broadcast.config.side = graph::kMaxSide + 1;
+    EXPECT_THROW(BroadcastProcess{broadcast}, std::invalid_argument);
+    auto gossip = GossipProcess{base}.capture();
+    gossip.config.side = graph::kMaxSide + 1;
+    EXPECT_THROW(GossipProcess{gossip}, std::invalid_argument);
+}
+
+// At the largest side the index is still O(k) (four buckets here), and
+// two agents in opposite corners are 2^31 − 2 apart in L1: the largest
+// distance the scan's int32 lanes must hold. They stay two components
+// through 50 steps (mostly certified quiet, then caught up by one pass).
+TEST(Engine, RestoresAndStepsAtTheLargestSide) {
+    EngineConfig small;
+    small.side = 16;
+    small.k = 2;
+    small.radius = 1;
+    auto state = BroadcastProcess{small}.capture();
+    state.config.side = graph::kMaxSide;
+    const auto far = graph::kMaxSide - 1;
+    state.positions = {{0, 0}, {far, far}};
+    state.informed = {1, 0};
+    state.informed_time = {0, -1};
+    state.t = 0;
+    state.config.source = 0;
+    BroadcastProcess process{state};
+    EXPECT_EQ(process.components().set_count(), 2u);
+    for (int s = 0; s < 50; ++s) process.step();
+    EXPECT_EQ(process.components().set_count(), 2u);
+    EXPECT_FALSE(process.complete());
+}
+
 TEST(Engine, SingleAgentCompletesImmediately) {
     EngineConfig cfg;
     cfg.side = 8;

@@ -271,7 +271,6 @@ TEST(BuilderCounters, ScanStatsTileOccupiedUnitsUnderChurn) {
     bool saw_bypass = false;
     bool saw_replay = false;
     for (int round = 0; round < 50; ++round) {
-        builder.begin_step();
         // Alternate a quiet round (replay-heavy) with a teleport storm
         // (bypass-heavy) so both scan modes face the invariant.
         const std::size_t movers = round % 2 == 0 ? 2 : pos.size();
@@ -282,7 +281,6 @@ TEST(BuilderCounters, ScanStatsTileOccupiedUnitsUnderChurn) {
                                        : walk::step(g, from, rng);
             if (to == from) continue;
             pos[static_cast<std::size_t>(a)] = to;
-            builder.on_move(a, from, to);
         }
         builder.rebuild_components(pos, dsu);
         const auto cur = builder.scan_stats();
@@ -322,9 +320,11 @@ double engine_counter(const core::BroadcastProcess& process, std::string_view na
 
 // Every step either runs one component pass or is exchange-free, and the
 // constructor runs one more, so on a run that never calls components()
-// scan.passes == 1 + t − cert.quiet_steps — on the r = 0 co-location path
-// as on the bucket path. The sparse configs certify quiet windows before
-// saturation, and the runs continue past it.
+// scan.passes == 1 + t − cert.quiet_steps, at r = 0 (co-location) as at
+// r ≥ 1. The sparse configs certify quiet windows before saturation, and
+// the runs continue past it. Every r runs on the one bucket index and
+// pass, so the index applies node changes at pass time and the pass
+// tests pairs at r = 0 too.
 TEST(EngineCounters, PassesCountEveryStepThatIsNotQuiet) {
     for (const std::int64_t radius : {0, 1, 3}) {
         core::EngineConfig cfg;
@@ -343,6 +343,10 @@ TEST(EngineCounters, PassesCountEveryStepThatIsNotQuiet) {
         EXPECT_LT(passes, static_cast<double>(tb)) << "r = " << radius;
         EXPECT_GT(engine_counter(process, "cert.checks"), 0.0);
         EXPECT_GT(engine_counter(process, "cert.pairs_tested"), 0.0);
+#if SMN_OBS_ENABLED
+        EXPECT_GT(engine_counter(process, "index.moves"), 0.0) << "r = " << radius;
+        EXPECT_GT(engine_counter(process, "scan.pairs_tested"), 0.0) << "r = " << radius;
+#endif
     }
 }
 

@@ -1,9 +1,10 @@
-// spatial_test.cpp — OccupancyMap and BucketIndex, including randomized
-// equivalence against the brute-force reference.
+// spatial_test.cpp — BucketIndex, including randomized equivalence
+// against the brute-force reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <set>
 #include <span>
 #include <utility>
@@ -12,7 +13,6 @@
 #include "grid/grid.hpp"
 #include "rng/rng.hpp"
 #include "spatial/bucket_index.hpp"
-#include "spatial/occupancy.hpp"
 #include "walk/ensemble.hpp"
 
 namespace smn::spatial {
@@ -21,74 +21,6 @@ namespace {
 using grid::Grid2D;
 using grid::Metric;
 using grid::Point;
-
-// ---------------------------------------------------------- OccupancyMap
-
-TEST(Occupancy, GroupsColocatedAgents) {
-    const auto g = Grid2D::square(5);
-    OccupancyMap occ{g};
-    const std::vector<Point> pos{{1, 1}, {2, 2}, {1, 1}, {0, 0}, {1, 1}};
-    occ.rebuild(pos);
-    EXPECT_EQ(occ.count_at({1, 1}), 3);
-    EXPECT_EQ(occ.count_at({2, 2}), 1);
-    EXPECT_EQ(occ.count_at({0, 0}), 1);
-    EXPECT_EQ(occ.count_at({4, 4}), 0);
-}
-
-TEST(Occupancy, ForEachVisitsExactlyTheResidents) {
-    const auto g = Grid2D::square(5);
-    OccupancyMap occ{g};
-    const std::vector<Point> pos{{3, 3}, {3, 3}, {0, 1}};
-    occ.rebuild(pos);
-    std::set<std::int32_t> seen;
-    occ.for_each_at({3, 3}, [&](std::int32_t a) { seen.insert(a); });
-    EXPECT_EQ(seen, (std::set<std::int32_t>{0, 1}));
-}
-
-TEST(Occupancy, FirstAtIsNoneOnEmptyNode) {
-    const auto g = Grid2D::square(4);
-    OccupancyMap occ{g};
-    occ.rebuild(std::vector<Point>{{0, 0}});
-    EXPECT_EQ(occ.first_at({3, 3}), kNone);
-    EXPECT_NE(occ.first_at({0, 0}), kNone);
-}
-
-TEST(Occupancy, OccupiedNodesListsEachNodeOnce) {
-    const auto g = Grid2D::square(6);
-    OccupancyMap occ{g};
-    const std::vector<Point> pos{{1, 1}, {1, 1}, {2, 3}, {2, 3}, {5, 5}};
-    occ.rebuild(pos);
-    const auto nodes = occ.occupied_nodes();
-    std::set<grid::NodeId> unique(nodes.begin(), nodes.end());
-    EXPECT_EQ(unique.size(), 3u);
-    EXPECT_EQ(nodes.size(), 3u);
-}
-
-TEST(Occupancy, RebuildClearsPreviousState) {
-    const auto g = Grid2D::square(6);
-    OccupancyMap occ{g};
-    occ.rebuild(std::vector<Point>{{0, 0}, {1, 1}});
-    occ.rebuild(std::vector<Point>{{5, 5}});
-    EXPECT_EQ(occ.count_at({0, 0}), 0);
-    EXPECT_EQ(occ.count_at({1, 1}), 0);
-    EXPECT_EQ(occ.count_at({5, 5}), 1);
-    EXPECT_EQ(occ.occupied_nodes().size(), 1u);
-}
-
-TEST(Occupancy, RepeatedRebuildsAreConsistent) {
-    const auto g = Grid2D::square(12);
-    OccupancyMap occ{g};
-    rng::Rng rng{1};
-    for (int round = 0; round < 20; ++round) {
-        std::vector<Point> pos;
-        const int k = 1 + static_cast<int>(rng.below(30));
-        for (int i = 0; i < k; ++i) pos.push_back(walk::AgentEnsemble::random_node(g, rng));
-        occ.rebuild(pos);
-        int total = 0;
-        for (const auto node : occ.occupied_nodes()) total += occ.count_at(g.point_of(node));
-        EXPECT_EQ(total, k);
-    }
-}
 
 // ----------------------------------------------------------- BucketIndex
 
@@ -101,6 +33,38 @@ TEST(Bucket, ForRadiusClampsToOne) {
     const auto g = Grid2D::square(8);
     const auto idx = BucketIndex::for_radius(g, 0);
     EXPECT_EQ(idx.bucket_side(), 1);
+}
+
+// The sizing rule max(r, 1, bit_floor(⌊√(n/k)⌋)): never narrower than r
+// (every in-range pair lies in one bucket or two adjacent ones), and at
+// most about 4k buckets while r ≤ √(n/k). On power-of-two sides the axis
+// count is side/s < 2√k exactly, so the bound is 4k; other sides add at
+// most one partial bucket per axis.
+TEST(Bucket, SideForKeepsRadiusAndBoundsBucketsByAgents) {
+    for (const grid::Coord side : {1, 7, 64, 100, 256, 1000, 1024, 4096, 1 << 30}) {
+        const auto g = Grid2D::square(side);
+        for (const std::size_t k : {1, 2, 3, 10, 64, 1000, 4096, 100000}) {
+            const auto per_agent = g.size() / static_cast<std::int64_t>(k);
+            for (const std::int64_t r : {0, 1, 2, 3, 4, 5, 16, 1000}) {
+                SCOPED_TRACE("side " + std::to_string(side) + ", k " + std::to_string(k) +
+                             ", r " + std::to_string(r));
+                const auto s = BucketIndex::side_for(g, k, r);
+                EXPECT_GE(s, std::max<std::int64_t>(r, 1));
+                if (r * r > per_agent) continue;
+                const auto per_axis = (std::int64_t{side} + s - 1) / s;
+                const auto count = static_cast<double>(per_axis * per_axis);
+                const auto kd = static_cast<double>(k);
+                if ((side & (side - 1)) == 0) {
+                    EXPECT_LE(count, 4.0 * kd);
+                } else {
+                    EXPECT_LT(count, std::pow(2.0 * std::sqrt(kd) + 1.0, 2.0));
+                }
+            }
+        }
+    }
+    // The percolation scale of the dense benchmark control (side 256,
+    // k 4096, r_c 4) keeps its bucket side of 4.
+    EXPECT_EQ(BucketIndex::side_for(Grid2D::square(256), 4096, 4), 4);
 }
 
 TEST(Bucket, FindsSelfAndExcludesFar) {
@@ -197,6 +161,116 @@ TEST(Bucket, RebuildClearsPreviousState) {
     EXPECT_EQ(found, 1);
 }
 
+// -------------------------------------------------- co-location (r = 0)
+//
+// At r = 0 the visibility builder uses the density-sized index for
+// co-location: a bucket may span several nodes, so the r = 0 query must
+// filter its bucket down to the agents on exactly that node.
+
+/// Agents the r = 0 query reports at `p`.
+std::set<std::int32_t> colocated_at(const BucketIndex& idx, Point p) {
+    std::set<std::int32_t> seen;
+    idx.for_each_within(p, 0, Metric::kManhattan, [&](std::int32_t a) { seen.insert(a); });
+    return seen;
+}
+
+TEST(BucketColocation, GroupsColocatedAgents) {
+    const auto g = Grid2D::square(5);
+    const std::vector<Point> pos{{1, 1}, {2, 2}, {1, 1}, {0, 0}, {1, 1}};
+    BucketIndex idx{g, BucketIndex::side_for(g, pos.size(), 0)};
+    ASSERT_EQ(idx.bucket_side(), 2);
+    idx.rebuild(pos);
+    EXPECT_EQ(colocated_at(idx, {1, 1}), (std::set<std::int32_t>{0, 2, 4}));
+    EXPECT_EQ(colocated_at(idx, {2, 2}), (std::set<std::int32_t>{1}));
+    EXPECT_EQ(colocated_at(idx, {0, 0}), (std::set<std::int32_t>{3}));
+    EXPECT_TRUE(colocated_at(idx, {4, 4}).empty());
+}
+
+TEST(BucketColocation, ForEachInBucketVisitsExactlyTheResidents) {
+    const auto g = Grid2D::square(8);
+    BucketIndex idx{g, 4};
+    const std::vector<Point> pos{{5, 5}, {7, 4}, {0, 1}, {5, 5}};
+    idx.rebuild(pos);
+    std::set<std::int32_t> seen;
+    idx.for_each_in_bucket(idx.bucket_of({4, 4}), [&](std::int32_t a) { seen.insert(a); });
+    EXPECT_EQ(seen, (std::set<std::int32_t>{0, 1, 3}));
+    seen.clear();
+    idx.for_each_in_bucket(idx.bucket_of({0, 7}), [&](std::int32_t a) { seen.insert(a); });
+    EXPECT_TRUE(seen.empty());
+}
+
+// An empty node inside an occupied bucket has no co-located agents.
+TEST(BucketColocation, EmptyNodeInOccupiedBucketHasNoResidents) {
+    const auto g = Grid2D::square(4);
+    const std::vector<Point> pos{{2, 2}};
+    BucketIndex idx{g, BucketIndex::side_for(g, pos.size(), 0)};
+    ASSERT_EQ(idx.bucket_side(), 4);
+    idx.rebuild(pos);
+    ASSERT_EQ(idx.bucket_of({3, 3}), idx.bucket_of({2, 2}));
+    EXPECT_TRUE(colocated_at(idx, {3, 3}).empty());
+    EXPECT_EQ(colocated_at(idx, {2, 2}), (std::set<std::int32_t>{0}));
+}
+
+TEST(BucketColocation, OccupiedBucketCountCountsEachBucketOnce) {
+    const auto g = Grid2D::square(6);
+    BucketIndex idx{g, 2};
+    const std::vector<Point> pos{{1, 1}, {1, 1}, {0, 0}, {2, 3}, {3, 2}, {5, 5}};
+    idx.rebuild(pos);
+    EXPECT_EQ(idx.occupied_bucket_count(), 3u);
+}
+
+TEST(BucketColocation, RebuildClearsPreviousState) {
+    const auto g = Grid2D::square(6);
+    BucketIndex idx{g, 2};
+    std::vector<Point> pos{{0, 0}, {1, 1}, {3, 3}};
+    idx.rebuild(pos);
+    std::vector<Point> pos2{{5, 5}};
+    idx.rebuild(pos2);
+    EXPECT_TRUE(colocated_at(idx, {0, 0}).empty());
+    EXPECT_TRUE(colocated_at(idx, {1, 1}).empty());
+    EXPECT_TRUE(colocated_at(idx, {3, 3}).empty());
+    EXPECT_EQ(colocated_at(idx, {5, 5}), (std::set<std::int32_t>{0}));
+    EXPECT_EQ(idx.occupied_bucket_count(), 1u);
+}
+
+// Re-sized and rebuilt for a fresh k each round, as the builder does:
+// every agent sits in exactly one bucket, the occupied count matches the
+// non-empty buckets, and each agent's r = 0 group is exactly the agents
+// on its node.
+TEST(BucketColocation, RepeatedRebuildsAreConsistent) {
+    const auto g = Grid2D::square(12);
+    BucketIndex idx{g, 1};
+    rng::Rng rng{1};
+    for (int round = 0; round < 20; ++round) {
+        std::vector<Point> pos;
+        const int k = 1 + static_cast<int>(rng.below(30));
+        for (int i = 0; i < k; ++i) pos.push_back(walk::AgentEnsemble::random_node(g, rng));
+        idx.resize(BucketIndex::side_for(g, pos.size(), 0));
+        idx.rebuild(pos);
+        int total = 0;
+        std::size_t nonempty = 0;
+        for (std::size_t b = 0; b < idx.bucket_count(); ++b) {
+            int here = 0;
+            idx.for_each_in_bucket(static_cast<std::int64_t>(b), [&](std::int32_t a) {
+                EXPECT_EQ(idx.bucket_of(pos[static_cast<std::size_t>(a)]),
+                          static_cast<std::int64_t>(b));
+                ++here;
+            });
+            total += here;
+            if (here > 0) ++nonempty;
+        }
+        EXPECT_EQ(total, k);
+        EXPECT_EQ(idx.occupied_bucket_count(), nonempty);
+        for (std::size_t a = 0; a < pos.size(); ++a) {
+            std::set<std::int32_t> expected;
+            for (std::size_t b = 0; b < pos.size(); ++b) {
+                if (pos[b] == pos[a]) expected.insert(static_cast<std::int32_t>(b));
+            }
+            EXPECT_EQ(colocated_at(idx, pos[a]), expected);
+        }
+    }
+}
+
 // Regression: querying with radius > bucket_side used to be a debug-only
 // assert, so release builds silently dropped neighbors outside the 3×3
 // block. The scan now widens to the needed number of bucket rings in all
@@ -228,9 +302,8 @@ TEST(BucketDirty, MoveStampsSourceAndDestinationBuckets) {
     idx.rebuild(pos);
     EXPECT_TRUE(idx.dirty_buckets().empty());  // rebuild opens a clean epoch
 
-    idx.begin_step();
     pos[0] = {5, 1};  // bucket (0,0) -> (1,0)
-    idx.move(0, {1, 1}, pos[0]);
+    idx.sync(pos);
     const auto dirty = idx.dirty_buckets();
     ASSERT_EQ(dirty.size(), 2u);
     EXPECT_EQ(dirty[0], idx.bucket_of({1, 1}));
@@ -250,9 +323,8 @@ TEST(BucketDirty, WithinBucketMoveStillDirtiesItsBucket) {
     BucketIndex idx{g, 4};
     std::vector<Point> pos{{1, 1}};
     idx.rebuild(pos);
-    idx.begin_step();
     pos[0] = {2, 1};
-    idx.move(0, {1, 1}, pos[0]);
+    idx.sync(pos);
     ASSERT_EQ(idx.dirty_buckets().size(), 1u);
     EXPECT_EQ(idx.dirty_buckets()[0], idx.bucket_of({1, 1}));
 }
@@ -262,17 +334,46 @@ TEST(BucketDirty, MarksAreIdempotentPerEpochAndEpochsSeparate) {
     BucketIndex idx{g, 2};
     std::vector<Point> pos{{0, 0}, {1, 1}};
     idx.rebuild(pos);
-    idx.begin_step();
     pos[0] = {1, 0};
-    idx.move(0, {0, 0}, pos[0]);
-    pos[1] = {0, 1};
-    idx.move(1, {1, 1}, pos[1]);  // same bucket: no duplicate mark
+    pos[1] = {0, 1};  // same bucket: no duplicate mark
+    idx.sync(pos);
     EXPECT_EQ(idx.dirty_buckets().size(), 1u);
-    idx.begin_step();  // new epoch discards the previous marks
+    idx.end_step();  // a new epoch discards the previous marks
     EXPECT_TRUE(idx.dirty_buckets().empty());
-    pos[0] = {4, 4};
-    idx.move(0, {1, 0}, pos[0]);  // teleport: both endpoints stamped
+    pos[0] = {4, 4};  // teleport: both endpoints stamped
+    idx.sync(pos);
     EXPECT_EQ(idx.dirty_buckets().size(), 2u);
+}
+
+// sync() catches the index up with positions written behind its back:
+// only agents whose node changed are relocated, each marking its source
+// and destination buckets, and an agent that moved away and back is no
+// change at all.
+TEST(BucketDirty, SyncRelocatesOnlyTheAgentsWhoseNodeChanged) {
+    const auto g = Grid2D::square(16);
+    BucketIndex idx{g, 4};
+    std::vector<Point> pos{{1, 1}, {9, 9}, {13, 2}};
+    idx.rebuild(pos);
+    idx.sync(pos);
+    EXPECT_TRUE(idx.dirty_buckets().empty());
+    pos[0] = {5, 1};  // bucket (0,0) -> (1,0)
+    pos[2] = {12, 2};
+    pos[2] = {13, 2};  // back where it was last indexed
+    idx.sync(pos);
+    ASSERT_EQ(idx.dirty_buckets().size(), 2u);
+    EXPECT_EQ(idx.dirty_buckets()[0], idx.bucket_of({1, 1}));
+    EXPECT_EQ(idx.dirty_buckets()[1], idx.bucket_of({5, 1}));
+#if SMN_OBS_ENABLED
+    EXPECT_EQ(idx.stats().moves, 1);
+#endif
+    std::vector<std::int32_t> found;
+    idx.for_each_within({5, 1}, 0, Metric::kManhattan, [&](std::int32_t a) {
+        found.push_back(a);
+    });
+    EXPECT_EQ(found, std::vector<std::int32_t>{0});
+    EXPECT_EQ(idx.occupied_bucket_count(), 3u);
+    pos.pop_back();  // not the agents of the last rebuild()
+    EXPECT_THROW(idx.sync(pos), std::invalid_argument);
 }
 
 // Canonical unordered-pair set of all in-range pairs, brute force.
@@ -308,10 +409,11 @@ std::set<std::pair<std::int32_t, std::int32_t>> enumerated_pairs(BucketIndex& id
     return pairs;
 }
 
-// The incremental move() path: apply random move sequences (mostly
-// single-cell steps, occasional teleports) and check pair coverage and
+// The incremental sync() path: write random move sequences (mostly
+// single-cell steps, occasional teleports, sometimes the same agent twice)
+// into the positions, sync once per batch, and check pair coverage and
 // point queries against brute force after every batch — for all three
-// metrics and r ∈ {0, 1, 2, 5} (the ISSUE 3 grid).
+// metrics and r ∈ {0, 1, 2, 5}.
 struct IncrementalParam {
     grid::Coord side;
     int agents;
@@ -347,8 +449,8 @@ TEST_P(BucketIncremental, MoveSequencesMatchNaive) {
                 to = nbr[static_cast<std::size_t>(rng.below(static_cast<std::uint64_t>(deg)))];
             }
             pos[static_cast<std::size_t>(a)] = to;
-            idx.move(a, from, to);
         }
+        idx.sync(pos);
         EXPECT_EQ(enumerated_pairs(idx, pos, param.radius, param.metric),
                   naive_pairs(pos, param.radius, param.metric))
             << "batch " << batch;
