@@ -6,8 +6,8 @@ Usage:
   trace_to_chrome.py <trace.json> <out.trace.json>
 
 The engine records wall-clock *durations* per phase, not absolute
-timestamps, so the timeline is synthetic: each step's four phases (walk,
-index, components, exchange) are laid end to end as complete ("X") events,
+timestamps, so the timeline is synthetic: each step's five phases (walk,
+index, components, cert, exchange) are laid end to end as complete ("X") events,
 which preserves every duration and proportion while keeping the trace
 self-contained. Counter ("C") tracks carry the per-step telemetry series:
 informed agents, components, rescanned/replayed units, pairs tested — so
@@ -16,7 +16,7 @@ the counter panels line up under the phase spans.
 import json
 import sys
 
-PHASES = ["walk_s", "index_s", "components_s", "exchange_s"]
+PHASES = ["walk_s", "index_s", "components_s", "cert_s", "exchange_s"]
 
 COUNTER_TRACKS = {
     "progress": ["informed", "components"],

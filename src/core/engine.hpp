@@ -83,16 +83,17 @@ struct EngineConfig {
 
 /// Cumulative wall-clock attribution of the step loop's phases, captured
 /// when phase timing is enabled (see StepLoop::set_phase_timing).
-/// index_s is the component pass's index-prep portion (the index catching
-/// up with every node change since the last pass, and taint expansion);
-/// components_s is the remainder of the rebuild (pair scan / edge replay +
-/// unions); walk_s is the walk kernel alone (the index is updated at the
-/// pass); exchange_s includes the exchange-free certificate that follows
-/// an idle exchange.
+/// walk_s is the walk kernel alone; index_s is the component pass's
+/// index-prep portion (the index catching up with the node changes it has
+/// not seen, and taint expansion); components_s is the remainder of the
+/// pass (pair scan / edge replay + unions); cert_s is the exchange-free
+/// certificate, including the index sync it triggers; exchange_s is the
+/// rumor exchange.
 struct StepPhaseTimings {
     double walk_s{0.0};
     double index_s{0.0};
     double components_s{0.0};
+    double cert_s{0.0};
     double exchange_s{0.0};
 };
 
@@ -130,15 +131,18 @@ struct BroadcastState {
     std::int64_t t{0};                            ///< current step
 };
 
-/// The one step loop, walk → index → components → exchange. It owns the
-/// config, RNG, agents, visibility builder, partition, exchange-free window
-/// policy, phase timing, step trace and counters. `Process` derives from
-/// StepLoop<Process> and supplies its rumor rule, which the loop calls
-/// without virtual dispatch: complete(); movers(), the mask of the agents
-/// that walk this step (empty: every agent walks); exchange(), true iff
-/// some agent learned something; certify(), the number of upcoming steps
-/// certified exchange-free after an idle exchange; observed() and
-/// notify() for observers; and informed_agents(), the trace gauge.
+/// The one step loop, walk → (certificate) → index → components →
+/// exchange. It owns the config, RNG, agents, visibility builder,
+/// partition, exchange-free window policy, phase timing, step trace and
+/// counters. `Process` derives from StepLoop<Process> and supplies its
+/// rumor rule, which the loop calls without virtual dispatch: complete();
+/// movers(), the ascending ids of the agents that walk this step (empty:
+/// every agent walks); exchange(), the rumor exchange over the partition;
+/// certify(), the exchange-free certificate of the current positions
+/// (nullopt: an exchange may inform, so run the pass; otherwise the step
+/// is idle and the value is how many further steps stay exchange-free);
+/// observed() and notify() for observers; and informed_agents(), the
+/// trace gauge.
 template <class Process>
 class StepLoop {
 public:
@@ -157,14 +161,17 @@ public:
 
     /// Advances the process one time step: move, rebuild G_t(r), exchange.
     ///
-    /// Exchange-free steps: after a pass whose exchange taught nobody
-    /// anything, and while no observer is attached, the process's
-    /// certify() bounds how many of the next steps cannot change any
-    /// knowledge. Those steps only walk: they draw the same RNG words but
-    /// skip the component pass and the exchange; the next pass catches the
-    /// spatial index up with every move since the last one. After
-    /// completion every step is exchange-free. Trajectories are
-    /// bit-identical to the always-full loop.
+    /// Exchange-free steps: while no observer is attached, every step
+    /// outside a certified window first asks certify(). The pass and the
+    /// exchange run only when it answers nullopt (for
+    /// broadcast: the minimum informed–uninformed distance D is at most r,
+    /// so an exchange informs someone). Otherwise the step is idle, and
+    /// the certified window of the next steps only walks: they draw the
+    /// same RNG words but skip the certificate, the pass and the exchange.
+    /// The next sync catches the spatial index up with every move since the
+    /// last one. After completion every step is exchange-free. A skipped
+    /// pass is exactly an idle exchange, so trajectories are bit-identical
+    /// to the always-full loop.
     void step();
 
     /// Steps until the process is complete or `max_steps` is reached.
@@ -203,7 +210,8 @@ public:
     /// granularity can make the prep total exceed the enclosing rebuild.
     [[nodiscard]] StepPhaseTimings phase_timings() const noexcept {
         const auto prep = builder_.prep_seconds();
-        return {walk_seconds_, prep, std::max(0.0, rebuild_seconds_ - prep), exchange_seconds_};
+        return {walk_seconds_, prep, std::max(0.0, rebuild_seconds_ - prep), cert_seconds_,
+                exchange_seconds_};
     }
 
     /// Name → value of every engine counter, cumulative since
@@ -232,7 +240,9 @@ protected:
     struct CertStats {
         std::int64_t checks{0};        ///< certificates computed
         std::int64_t pairs_tested{0};  ///< distances evaluated by certificates
-        std::int64_t quiet_steps{0};   ///< steps that skipped the pass and exchange
+        /// Steps that skipped the pass and exchange: inside a certified
+        /// window, cleared by their own certificate, or after completion.
+        std::int64_t quiet_steps{0};
     };
 
     /// Validates the config (validate_config), places and indexes agents.
@@ -253,7 +263,7 @@ protected:
     void start(bool fresh) {
         builder_.build(agents_.positions(), dsu_);
         if (fresh) {
-            (void)self().exchange();
+            self().exchange();
             self().notify();
         }
         set_trace(obs::claim_trace());
@@ -299,6 +309,7 @@ private:
     bool timing_{false};
     double walk_seconds_{0.0};
     double rebuild_seconds_{0.0};
+    double cert_seconds_{0.0};
     double exchange_seconds_{0.0};
     obs::StepTrace* trace_{nullptr};  ///< per-step trace sink (non-owning)
     obs::StepRecord trace_prev_{};    ///< cumulative totals at the last traced step
@@ -385,6 +396,7 @@ obs::StepRecord StepLoop<Process>::trace_totals() const noexcept {
     cur.walk_s = ph.walk_s;
     cur.index_s = ph.index_s;
     cur.components_s = ph.components_s;
+    cur.cert_s = ph.cert_s;
     cur.exchange_s = ph.exchange_s;
     const auto& scan = builder_.scan_stats();
     cur.rescanned = scan.rescanned_units;
@@ -417,7 +429,8 @@ void StepLoop<Process>::trace_step() {
     obs::StepRecord rec{};
     rec.step = t_;
     using R = obs::StepRecord;
-    for (const auto phase : {&R::walk_s, &R::index_s, &R::components_s, &R::exchange_s}) {
+    for (const auto phase :
+         {&R::walk_s, &R::index_s, &R::components_s, &R::cert_s, &R::exchange_s}) {
         rec.*phase = cur.*phase - trace_prev_.*phase;
     }
     for (const auto count :
@@ -442,31 +455,38 @@ void StepLoop<Process>::step() {
     using clock = std::chrono::steady_clock;
     const auto stamp = [this] { return timing_ ? clock::now() : clock::time_point{}; };
     const auto t0 = stamp();
-    // Exchange-free step (certified by the last idle pass, or complete):
-    // with nothing observing the partition, neither the component pass nor
-    // the exchange can change observable state, so the step is the walk.
-    const bool quiet = !process.observed() && (quiet_ > 0 || process.complete());
-    // The walk only writes positions; the next pass catches the spatial
+    const bool observed = process.observed();
+    // The walk only writes positions; the next sync catches the spatial
     // index up with every node change since the last one.
     if (const auto movers = process.movers(); movers.empty()) {
         agents_.step_all(rng_);
     } else {
-        agents_.step_subset(rng_, movers);
+        agents_.step_ids(rng_, movers);
     }
     stale_ = true;
     const auto t1 = stamp();
     if (timing_) walk_seconds_ += std::chrono::duration<double>(t1 - t0).count();
+    // Exchange-free step: complete, inside a certified window, or cleared
+    // by its own certificate. With nothing observing
+    // the partition, neither the pass nor the exchange can change
+    // observable state, so the step is the walk.
+    bool quiet = !observed && (process.complete() || quiet_ > 0);
     if (quiet) {
         if (quiet_ > 0) --quiet_;
+    } else if (!observed) {
+        const auto window = process.certify();
+        if (timing_) cert_seconds_ += std::chrono::duration<double>(clock::now() - t1).count();
+        quiet = window.has_value();
+        quiet_ = window.value_or(0);
+    }
+    if (quiet) {
         ++cert_.quiet_steps;
         trace_step();
         return;
     }
     refresh_components();
     const auto t2 = stamp();
-    // An idle pass certifies how many of the next steps stay exchange-free.
-    const bool idle = !process.exchange() && !process.complete();
-    quiet_ = idle && !process.observed() ? process.certify() : 0;
+    process.exchange();
     if (timing_) exchange_seconds_ += std::chrono::duration<double>(clock::now() - t2).count();
     trace_step();
     process.notify();
@@ -518,27 +538,35 @@ private:
     friend class StepLoop<BroadcastProcess>;
 
     /// Frog model: the agents informed before this step walk; those the
-    /// step's exchange informs start moving next step.
-    [[nodiscard]] std::span<const std::uint8_t> movers() const noexcept {
-        if (config_.mobility == Mobility::kAllMove) return {};
-        return rumor_.flags();
-    }
-    bool exchange();
-    /// Exchange-free certificate: D, the minimum informed–uninformed
-    /// distance in the config's metric. Every walk moves at most one
-    /// lattice unit per step (in L1, L∞ and L2), so no informed–uninformed
-    /// pair can come within r for the next ⌊(D − r − 1)/2⌋ steps
-    /// (D − r − 1 under Frog mobility, where only informed agents move).
-    [[nodiscard]] std::int64_t certify();
+    /// step's exchange informs start moving next step. Empty under
+    /// all-move: every agent walks.
+    [[nodiscard]] std::span<const std::int32_t> movers() const noexcept { return movers_; }
+    void exchange();
+    /// Exchange-free certificate. Syncs the index and computes D, the
+    /// minimum informed–uninformed distance in the config's metric, by a
+    /// ring search (BucketIndex::min_key) from each agent on the smaller
+    /// side, stopping once D ≤ r. A component holding both informed and
+    /// uninformed agents has an edge joining the two sides, so an exchange
+    /// informs someone exactly when D ≤ r: then nullopt (run the pass).
+    /// Otherwise the step is idle, and since every walk moves at most one
+    /// lattice unit per step (in L1, L∞ and L2), no informed–uninformed
+    /// pair can come within r for the next ⌊(D − r − 1)/2⌋ steps (D − r − 1
+    /// under Frog mobility, where only informed agents move): the value.
+    [[nodiscard]] std::optional<std::int64_t> certify();
     [[nodiscard]] bool observed() const noexcept { return !observers_.empty(); }
     void notify();
     [[nodiscard]] std::int64_t informed_agents() const noexcept { return rumor_.informed_count(); }
 
+    /// Refills movers_ from the rumor flags (Frog mobility only).
+    void collect_movers();
+
     SingleRumor rumor_;
     std::vector<Observer*> observers_;
     std::vector<std::uint8_t> root_informed_;  ///< scratch, size k
-    std::vector<grid::Coord> near_x_;          ///< scratch: certificate's smaller side
-    std::vector<grid::Coord> near_y_;
+    /// Frog mobility: the informed agents in ascending id order (the
+    /// walk's RNG order), refilled whenever the exchange informs someone.
+    /// Empty under all-move.
+    std::vector<std::int32_t> movers_;
 };
 
 extern template class StepLoop<BroadcastProcess>;

@@ -56,10 +56,9 @@ GossipState GossipProcess::capture() const {
     return state;
 }
 
-bool GossipProcess::exchange() {
+void GossipProcess::exchange() {
     const auto k = config_.k;
     const auto words = rumors_.words_per_agent();
-    const auto known_before = known_pairs_;
 
     // One find pass: both OR/distribute passes then index by plain labels.
     graph::component_labels(dsu_, labels_);
@@ -99,7 +98,6 @@ bool GossipProcess::exchange() {
         auto* acc = &component_or_[static_cast<std::size_t>(root) * words];
         std::fill(acc, acc + words, std::uint64_t{0});
     }
-    return known_pairs_ != known_before;
 }
 
 GossipResult run_gossip(const EngineConfig& config, std::int64_t max_steps) {

@@ -14,6 +14,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -77,11 +78,11 @@ public:
 private:
     friend class StepLoop<GossipProcess>;
 
-    [[nodiscard]] static std::span<const std::uint8_t> movers() noexcept { return {}; }
-    bool exchange();
+    [[nodiscard]] static std::span<const std::int32_t> movers() noexcept { return {}; }
+    void exchange();
     /// No gossip certificate yet: every step before completion runs the
     /// component pass and the exchange.
-    [[nodiscard]] static std::int64_t certify() noexcept { return 0; }
+    [[nodiscard]] static std::optional<std::int64_t> certify() noexcept { return std::nullopt; }
     [[nodiscard]] static bool observed() noexcept { return false; }
     static void notify() noexcept {}
     [[nodiscard]] std::int64_t informed_agents() const noexcept { return rumors_.done_agents(); }

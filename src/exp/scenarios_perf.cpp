@@ -64,11 +64,12 @@ SMN_REGISTER_SCENARIO(
                 // Reserved "timing." prefix: the runner diverts these into
                 // the (host-dependent, --timings-only) phase breakdown so
                 // perf PRs can attribute wins to walk / index / components
-                // / exchange.
+                // / cert / exchange.
                 const auto phases = process.phase_timings();
                 m["timing.walk_s"] = phases.walk_s;
                 m["timing.index_s"] = phases.index_s;
                 m["timing.components_s"] = phases.components_s;
+                m["timing.cert_s"] = phases.cert_s;
                 m["timing.exchange_s"] = phases.exchange_s;
                 // Reserved "obs." prefix: engine telemetry counters,
                 // diverted into the (--counters-only) counters block the

@@ -45,7 +45,9 @@
 //    index up (an O(k) compare of every position with the node the index
 //    last saw; only the changed agents are relinked and dirty their
 //    buckets) and then recomputes the partition from the index + edge
-//    cache. That catch-up is the only way the index learns of moves.
+//    cache. That catch-up, or an earlier sync() between passes (the
+//    exchange-free certificate's), is the only way the index learns of
+//    moves.
 //    Components cannot be maintained under edge *deletions*, so the DSU
 //    is always recomputed; the savings are the spatial index and the
 //    clean-region replay.
@@ -119,6 +121,15 @@ public:
     /// dirty epoch. Throws std::invalid_argument when the agent count
     /// differs from the last build().
     void rebuild_components(std::span<const grid::Point> positions, DisjointSets& dsu);
+
+    /// Catches the index up with `positions` outside a pass (same contract
+    /// as rebuild_components) and returns it for queries. The dirty marks
+    /// accumulate until the next pass consumes them, so that pass's own
+    /// sync finds nothing new and its partition is unchanged.
+    const spatial::BucketIndex& sync(std::span<const grid::Point> positions) {
+        buckets_.sync(positions);
+        return buckets_;
+    }
 
     [[nodiscard]] std::int64_t radius() const noexcept { return radius_; }
     [[nodiscard]] grid::Metric metric() const noexcept { return metric_; }

@@ -60,6 +60,19 @@ enum class Metric : std::uint8_t {
     return dx * dx + dy * dy;
 }
 
+/// The comparison key of the distance between `a` and `b` under `M`: the
+/// distance itself for L1 and L∞, its square for L2 (exact in integers).
+template <Metric M>
+[[nodiscard]] constexpr std::int64_t distance_key(Point a, Point b) noexcept {
+    if constexpr (M == Metric::kManhattan) {
+        return manhattan(a, b);
+    } else if constexpr (M == Metric::kChebyshev) {
+        return chebyshev(a, b);
+    } else {
+        return euclidean_sq(a, b);
+    }
+}
+
 /// True iff `a` and `b` are within distance `r` under `metric`.
 /// For Euclidean the comparison is r² vs squared distance, exact.
 [[nodiscard]] constexpr bool within(Point a, Point b, std::int64_t r, Metric metric) noexcept {

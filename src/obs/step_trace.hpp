@@ -1,7 +1,7 @@
 // step_trace.hpp — a bounded per-step telemetry timeline.
 //
 // StepTrace is a fixed-capacity ring of StepRecord entries, one per engine
-// step: the four phase wall-clock spans plus the step's deltas of every
+// step: the five phase wall-clock spans plus the step's deltas of every
 // engine counter (units rescanned/replayed, pairs tested/survived, DSU
 // unions, index moves, …) and a few instantaneous gauges (informed agents,
 // component count). The ring keeps the *latest* `capacity` steps; pushes
@@ -33,9 +33,10 @@ namespace smn::obs {
 /// One engine step's telemetry: phase spans, counter deltas, gauges.
 struct StepRecord {
     std::int64_t step{0};        ///< engine time t
-    double walk_s{0.0};          ///< walk phase (incl. per-move index updates)
+    double walk_s{0.0};          ///< walk kernel
     double index_s{0.0};         ///< component-pass index prep
     double components_s{0.0};    ///< pair scan / replay + unions
+    double cert_s{0.0};          ///< exchange-free certificate (incl. its index sync)
     double exchange_s{0.0};      ///< rumor exchange
     std::int64_t units{0};       ///< occupied scan units at the pass
     std::int64_t rescanned{0};   ///< units re-enumerated this step
@@ -46,13 +47,13 @@ struct StepRecord {
     std::int64_t edges_cached{0};     ///< spanning edges written by rescans
     std::int64_t edges_replayed{0};   ///< spanning edges replayed from cache
     std::int64_t dirty_buckets{0};    ///< buckets stamped dirty this step
-    std::int64_t index_moves{0};      ///< BucketIndex::move calls
+    std::int64_t index_moves{0};      ///< node changes applied by index syncs
     std::int64_t index_relinks{0};    ///< moves that crossed a bucket boundary
     std::int64_t dsu_unites{0};       ///< DSU merges performed
     std::int64_t dsu_fast_hits{0};    ///< DSU same-parent/root fast-path hits
     std::int64_t blocks_decoded{0};   ///< walk RNG blocks decoded vectorized
     std::int64_t blocks_scalar{0};    ///< blocks replayed scalar (rejection/ablation)
-    std::int64_t quiet{0};            ///< 1 if the step was exchange-free (no pass)
+    std::int64_t quiet{0};            ///< 1 if the step skipped the pass and exchange
     std::int64_t informed{0};         ///< agents knowing every rumor after the exchange
     std::int64_t components{0};       ///< components of G_t(r)
 };
@@ -129,6 +130,7 @@ private:
         field_d("walk_s", r.walk_s);
         field_d("index_s", r.index_s);
         field_d("components_s", r.components_s);
+        field_d("cert_s", r.cert_s);
         field_d("exchange_s", r.exchange_s);
         field_i("units", r.units);
         field_i("rescanned", r.rescanned);

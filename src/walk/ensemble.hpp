@@ -186,9 +186,23 @@ public:
         for (std::size_t i = 0; i < should_move.size(); ++i) {
             if (should_move[i]) moving_.push_back(static_cast<std::int32_t>(i));
         }
+        step_ids(rng, moving_, on_move);
+    }
+
+    /// Advances only the agents in `ids`, which must be ascending (the RNG
+    /// order of step_subset, which it matches word for word); the cost is
+    /// O(|ids|), not O(k).
+    void step_ids(rng::Rng& rng, std::span<const AgentId> ids) {
+        step_ids(rng, ids, [](AgentId, grid::Point, grid::Point) {});
+    }
+
+    /// As step_ids, with the per-move hook of step_all.
+    template <typename OnMove>
+    void step_ids(rng::Rng& rng, std::span<const AgentId> ids, OnMove&& on_move) {
+        assert(std::is_sorted(ids.begin(), ids.end()));
         step_indices(
-            rng, moving_.size(),
-            [this](std::size_t i) { return static_cast<std::size_t>(moving_[i]); }, on_move);
+            rng, ids.size(), [ids](std::size_t i) { return static_cast<std::size_t>(ids[i]); },
+            on_move);
     }
 
     /// Advances a single agent by one step.

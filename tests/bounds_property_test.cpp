@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 #include "core/bounds.hpp"
@@ -21,6 +22,10 @@ struct NkParam {
     std::int64_t n;
     std::int64_t k;
 };
+
+// CTest names parametrized tests by the printed parameter: print the
+// fields, never the struct's bytes (padding included).
+void PrintTo(const NkParam& p, std::ostream* os) { *os << "n" << p.n << "_k" << p.k; }
 
 class BoundsSweep : public ::testing::TestWithParam<NkParam> {};
 

@@ -2,9 +2,12 @@
 // driver, bounds formulas.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/bounds.hpp"
@@ -358,6 +361,100 @@ TEST(Engine, FrogModeCompletes) {
 TEST(Engine, MobilityNames) {
     EXPECT_STREQ(mobility_name(Mobility::kAllMove), "all-move");
     EXPECT_STREQ(mobility_name(Mobility::kInformedOnly), "frog");
+}
+
+// ------------------------------------------------ exchange-free certificate
+
+template <class Process>
+double engine_counter(const Process& process, std::string_view name) {
+    for (const auto& [key, value] : process.counters()) {
+        if (key == name) return value;
+    }
+    return -1.0;
+}
+
+/// Attaching an observer makes every step run the pass and the exchange:
+/// the always-pass reference.
+class NoOpObserver final : public Observer {
+public:
+    void on_step(const StepView& /*view*/) override {}
+};
+
+// Over seeded random configs (side, k, r in {0, 1, 3}, every metric, both
+// mobilities), the bare process, which runs the pass only when its
+// certificate finds D <= r, informs the same agents at the same steps as
+// the always-pass reference. A step "informs" when its exchange informs
+// someone; a step runs the pass exactly when it informs, so the passes
+// after the construction pass equal the informing steps.
+TEST(Certificate, PassesOnlyWhenAnExchangeInforms) {
+    rng::Rng pick{0xce27};
+    constexpr std::array<std::int64_t, 3> kRadii{0, 1, 3};
+    constexpr std::int64_t kCap = 3000;
+    std::int64_t idle_skipped = 0;
+    for (int trial = 0; trial < 60; ++trial) {
+        EngineConfig cfg;
+        cfg.side = static_cast<grid::Coord>(4 + pick.below(57));
+        cfg.k = static_cast<std::int32_t>(2 + pick.below(39));
+        cfg.radius = kRadii[pick.below(kRadii.size())];
+        cfg.metric = static_cast<grid::Metric>(pick.below(3));
+        cfg.mobility = static_cast<Mobility>(pick.below(2));
+        cfg.source = static_cast<std::int32_t>(pick.below(static_cast<std::uint64_t>(cfg.k)));
+        cfg.seed = pick();
+        SCOPED_TRACE("trial " + std::to_string(trial) + ": side " + std::to_string(cfg.side) +
+                     " k " + std::to_string(cfg.k) + " r " + std::to_string(cfg.radius) +
+                     " metric " + grid::metric_name(cfg.metric) + " " +
+                     mobility_name(cfg.mobility));
+        NoOpObserver noop;
+        BroadcastProcess full{cfg};
+        full.attach(noop);
+        BroadcastProcess bare{cfg};
+        std::int64_t passes = 0;
+        std::int64_t informing = 0;
+        while (!bare.complete() && bare.time() < kCap) {
+            const auto passes_before = engine_counter(bare, "scan.passes");
+            const auto informed_before = bare.rumor().informed_count();
+            bare.step();
+            full.step();
+            const bool pass = engine_counter(bare, "scan.passes") > passes_before;
+            const bool informs = bare.rumor().informed_count() > informed_before;
+            ASSERT_EQ(bare.rumor().informed_count(), full.rumor().informed_count())
+                << "t = " << bare.time();
+            EXPECT_EQ(pass, informs) << "t = " << bare.time();
+            idle_skipped += pass ? 0 : 1;
+            passes += pass ? 1 : 0;
+            informing += informs ? 1 : 0;
+        }
+        const auto bare_times = bare.rumor().times();
+        const auto full_times = full.rumor().times();
+        EXPECT_TRUE(std::equal(bare_times.begin(), bare_times.end(), full_times.begin(),
+                               full_times.end()));
+        EXPECT_EQ(passes, informing);
+    }
+    EXPECT_GT(idle_skipped, 10000);
+}
+
+// The Frog regime the certificate targets (side 1024, k 4096, r 1): most
+// steps inform nobody, and the passes are the construction pass plus one
+// per informing step.
+TEST(Certificate, FrogPassesTrackInformingSteps) {
+    EngineConfig cfg;
+    cfg.side = 1024;
+    cfg.k = 4096;
+    cfg.radius = 1;
+    cfg.mobility = Mobility::kInformedOnly;
+    for (const std::uint64_t seed : {1, 2, 3}) {
+        cfg.seed = seed;
+        BroadcastProcess process{cfg};
+        std::int64_t informing = 0;
+        for (int s = 0; s < 2000; ++s) {
+            const auto before = process.rumor().informed_count();
+            process.step();
+            informing += process.rumor().informed_count() > before ? 1 : 0;
+        }
+        const auto passes = engine_counter(process, "scan.passes");
+        EXPECT_EQ(passes, static_cast<double>(informing + 1)) << "seed " << seed;
+        EXPECT_LT(passes, 200.0) << "seed " << seed;
+    }
 }
 
 // -------------------------------------------------------------- observers

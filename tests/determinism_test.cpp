@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <ostream>
 #include <sstream>
 #include <vector>
 
@@ -60,6 +61,14 @@ struct GoldenRun {
     std::int64_t steps_run;
     std::uint64_t series_hash;
 };
+
+// CTest names parametrized tests by the printed parameter: print the
+// fields, never the struct's bytes (padding included).
+void PrintTo(const GoldenRun& g, std::ostream* os) {
+    *os << "side" << g.side << "_k" << g.k << "_r" << g.radius << "_"
+        << grid::metric_name(static_cast<grid::Metric>(g.metric)) << "_walk" << g.walk << "_"
+        << mobility_name(static_cast<Mobility>(g.mobility)) << "_seed" << g.seed;
+}
 
 class GoldenBroadcast : public ::testing::TestWithParam<GoldenRun> {};
 
@@ -240,6 +249,11 @@ struct PathwiseParam {
     walk::WalkKind walk;
     std::uint64_t seed;
 };
+
+void PrintTo(const PathwiseParam& p, std::ostream* os) {
+    *os << "side" << p.side << "_k" << p.k << "_r" << p.radius << "_"
+        << mobility_name(p.mobility) << "_walk" << static_cast<int>(p.walk) << "_seed" << p.seed;
+}
 
 class PathwiseEquivalence : public ::testing::TestWithParam<PathwiseParam> {};
 

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <ostream>
 #include <string>
 
 #include "core/broadcast.hpp"
@@ -27,6 +28,12 @@ struct EquivParam {
     std::int64_t radius;
     std::uint64_t seed;
 };
+
+// CTest names parametrized tests by the printed parameter: print the
+// fields, never the struct's bytes (padding included).
+void PrintTo(const EquivParam& p, std::ostream* os) {
+    *os << "side" << p.side << "_k" << p.k << "_r" << p.radius << "_seed" << p.seed;
+}
 
 class GossipBroadcastEquivalence : public ::testing::TestWithParam<EquivParam> {};
 

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <ostream>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -146,6 +147,13 @@ struct VisSweepParam {
     Metric metric;
 };
 
+// CTest names parametrized tests by the printed parameter: print the
+// fields, never the struct's bytes (padding included).
+void PrintTo(const VisSweepParam& p, std::ostream* os) {
+    *os << "side" << p.side << "_k" << p.agents << "_r" << p.radius << "_"
+        << grid::metric_name(p.metric);
+}
+
 class VisibilitySweep : public ::testing::TestWithParam<VisSweepParam> {};
 
 TEST_P(VisibilitySweep, MatchesNaiveComponents) {
@@ -263,6 +271,10 @@ struct IncrementalVisParam {
     std::int64_t radius;
     Metric metric;
 };
+
+void PrintTo(const IncrementalVisParam& p, std::ostream* os) {
+    *os << "r" << p.radius << "_" << grid::metric_name(p.metric);
+}
 
 class VisibilityIncremental : public ::testing::TestWithParam<IncrementalVisParam> {};
 

@@ -161,6 +161,7 @@ TEST(StepTrace, WriteJsonEmitsEveryRetainedStep) {
     EXPECT_NE(text.find("\"step\":3"), std::string::npos);
     EXPECT_NE(text.find("\"rescanned\":17"), std::string::npos);
     EXPECT_NE(text.find("\"walk_s\":0.25"), std::string::npos);
+    EXPECT_NE(text.find("\"cert_s\":0"), std::string::npos);
     EXPECT_EQ(text.back(), '\n');
 }
 
@@ -350,9 +351,29 @@ TEST(EngineCounters, PassesCountEveryStepThatIsNotQuiet) {
     }
 }
 
-// Gossip runs on the same loop: it certifies no quiet window, so every
-// step runs one pass, and its destructor flushes the same engine.*
-// counters as broadcast.
+// The certificate, and the index sync it triggers, bill their own phase:
+// a sparse Frog run spends cert_s, and its trace carries it.
+TEST(EngineTrace, CertificateHasItsOwnPhase) {
+    core::EngineConfig cfg;
+    cfg.side = 128;
+    cfg.k = 64;
+    cfg.radius = 1;
+    cfg.mobility = core::Mobility::kInformedOnly;
+    cfg.seed = 5;
+    StepTrace trace{512};
+    core::BroadcastProcess process{cfg};
+    process.set_trace(&trace);
+    for (int s = 0; s < 500; ++s) process.step();
+    EXPECT_GT(engine_counter(process, "cert.checks"), 0.0);
+    EXPECT_GT(process.phase_timings().cert_s, 0.0);
+    double traced = 0.0;
+    for (std::size_t i = 0; i < trace.size(); ++i) traced += trace.at(i).cert_s;
+    EXPECT_GT(traced, 0.0);
+}
+
+// Gossip runs on the same loop: its certificate always answers "run the
+// pass", so every step runs one pass, and its destructor flushes the same
+// engine.* counters as broadcast.
 TEST(EngineCounters, GossipRunsOnePassPerStep) {
     core::EngineConfig cfg;
     cfg.side = 24;
@@ -368,12 +389,15 @@ TEST(EngineCounters, GossipRunsOnePassPerStep) {
         ASSERT_TRUE(process.run_until_complete(1 << 24).has_value());
         tg = process.time();
         double quiet = -1.0;
+        double checks = -1.0;
         for (const auto& [name, value] : process.counters()) {
             if (std::string_view{name} == "scan.passes") passes = value;
             if (std::string_view{name} == "cert.quiet_steps") quiet = value;
+            if (std::string_view{name} == "cert.checks") checks = value;
         }
         EXPECT_EQ(passes, static_cast<double>(1 + tg));
         EXPECT_EQ(quiet, 0.0);
+        EXPECT_EQ(checks, 0.0);
     }
     EXPECT_GT(tg, 0);
 #if SMN_OBS_ENABLED

@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -131,6 +132,13 @@ struct RoundTripParam {
     unsigned mobility;
     unsigned walk;
 };
+
+// CTest names parametrized tests by the printed parameter: print the
+// fields, never the struct's bytes (padding included).
+void PrintTo(const RoundTripParam& p, std::ostream* os) {
+    *os << grid::metric_name(static_cast<grid::Metric>(p.metric)) << "_r" << p.radius << "_"
+        << core::mobility_name(static_cast<core::Mobility>(p.mobility)) << "_walk" << p.walk;
+}
 
 class BroadcastRoundTrip : public ::testing::TestWithParam<RoundTripParam> {};
 

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
+#include <ostream>
 #include <set>
 #include <span>
 #include <utility>
@@ -99,6 +101,13 @@ struct BucketSweepParam {
     std::int64_t radius;
     Metric metric;
 };
+
+// CTest names parametrized tests by the printed parameter: print the
+// fields, never the struct's bytes (padding included).
+void PrintTo(const BucketSweepParam& p, std::ostream* os) {
+    *os << "side" << p.side << "_k" << p.agents << "_r" << p.radius << "_"
+        << grid::metric_name(p.metric);
+}
 
 class BucketSweep : public ::testing::TestWithParam<BucketSweepParam> {};
 
@@ -293,6 +302,87 @@ TEST(Bucket, RadiusLargerThanBucketSideFindsAllNeighbors) {
     }
 }
 
+// ------------------------------------------------------------ ring search
+
+/// min_key with the metric chosen at run time.
+template <typename Accept>
+std::int64_t ring_min_key(const BucketIndex& idx, Metric metric, Point p, std::int64_t bound,
+                          Accept&& accept, std::int64_t& probes) {
+    switch (metric) {
+        case Metric::kManhattan:
+            return idx.min_key<Metric::kManhattan>(p, bound, accept, probes);
+        case Metric::kChebyshev:
+            return idx.min_key<Metric::kChebyshev>(p, bound, accept, probes);
+        case Metric::kEuclidean:
+            return idx.min_key<Metric::kEuclidean>(p, bound, accept, probes);
+    }
+    return -1;
+}
+
+/// Brute-force distance key (squared under L2).
+std::int64_t brute_key(Point a, Point b, Metric metric) {
+    return metric == Metric::kEuclidean ? grid::euclidean_sq(a, b) : grid::distance(a, b, metric);
+}
+
+// The ring search returns the brute-force minimum key over the accepted
+// agents, capped at the bound: every metric, agents in the grid corners,
+// power-of-two and other bucket sides (down to 1, so answers many rings
+// out), bounds far above the bucket side, and predicates accepting
+// nobody. It evaluates each accepted agent at most once.
+TEST(BucketRingSearch, MatchesBruteForceMinimum) {
+    rng::Rng rng{0x417};
+    constexpr auto kNone = std::numeric_limits<std::int64_t>::max();
+    for (const grid::Coord side : {1, 2, 7, 13, 40, 64}) {
+        const auto g = Grid2D::square(side);
+        const std::vector<Point> corners{
+            {0, 0}, {side - 1, 0}, {0, side - 1}, {side - 1, side - 1}};
+        for (const grid::Coord bucket : {1, 3, 4, 5, 16}) {
+            BucketIndex idx{g, bucket};
+            for (const auto metric : {Metric::kManhattan, Metric::kChebyshev, Metric::kEuclidean}) {
+                for (int round = 0; round < 6; ++round) {
+                    std::vector<Point> pos;
+                    const auto k = 1 + rng.below(30);
+                    for (std::uint64_t i = 0; i < k; ++i) {
+                        pos.push_back(walk::AgentEnsemble::random_node(g, rng));
+                    }
+                    if (round % 2 == 0) pos.insert(pos.end(), corners.begin(), corners.end());
+                    idx.rebuild(pos);
+                    // Acceptance rates 0 (an empty set), 1/4, 1/2 and 1.
+                    const auto rate = round % 4;
+                    std::vector<std::uint8_t> accepted(pos.size());
+                    for (auto& a : accepted) a = rng.below(3) < static_cast<std::uint64_t>(rate);
+                    const auto accept = [&](std::int32_t a) {
+                        return accepted[static_cast<std::size_t>(a)] != 0;
+                    };
+                    std::vector<Point> probes_at(pos.begin(), pos.end());
+                    probes_at.insert(probes_at.end(), corners.begin(), corners.end());
+                    for (const auto p : probes_at) {
+                        const std::int64_t bound_dist = static_cast<std::int64_t>(rng.below(
+                            3 * static_cast<std::uint64_t>(side) + 2));
+                        for (const std::int64_t bound :
+                             {kNone, metric == Metric::kEuclidean ? bound_dist * bound_dist
+                                                                  : bound_dist}) {
+                            std::int64_t expected = bound;
+                            for (std::size_t a = 0; a < pos.size(); ++a) {
+                                if (accepted[a]) {
+                                    expected = std::min(expected, brute_key(p, pos[a], metric));
+                                }
+                            }
+                            std::int64_t probes = 0;
+                            EXPECT_EQ(ring_min_key(idx, metric, p, bound, accept, probes),
+                                      expected)
+                                << "side " << side << " bucket " << bucket << " metric "
+                                << grid::metric_name(metric) << " probe " << p << " bound "
+                                << bound;
+                            EXPECT_LE(probes, std::count(accepted.begin(), accepted.end(), 1));
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 // -------------------------------------------------- dirty-step protocol
 
 TEST(BucketDirty, MoveStampsSourceAndDestinationBuckets) {
@@ -420,6 +510,11 @@ struct IncrementalParam {
     std::int64_t radius;
     Metric metric;
 };
+
+void PrintTo(const IncrementalParam& p, std::ostream* os) {
+    *os << "side" << p.side << "_k" << p.agents << "_r" << p.radius << "_"
+        << grid::metric_name(p.metric);
+}
 
 class BucketIncremental : public ::testing::TestWithParam<IncrementalParam> {};
 
